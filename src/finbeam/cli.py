@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -82,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("sweep_file")
     swp.add_argument("out_file")
     swp.add_argument("--probe-max-force", action="store_true")
-    swp.add_argument("--parallel", action="store_true")
     swp.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -289,15 +287,8 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
 def _cmd_sweep(args) -> int:
     spec = _parse_sweep_spec(_read_json(args.sweep_file))
 
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(_run_variant, spec, v,
-                                   args.probe_max_force)
-                       for v in spec.values]
-            variants = [f.result() for f in futures]
-    else:
-        variants = [_run_variant(spec, v, args.probe_max_force)
-                    for v in spec.values]
+    variants = [_run_variant(spec, v, args.probe_max_force)
+                for v in spec.values]
 
     with open(args.out_file, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -68,7 +68,6 @@ class IncrementRecord:
     element_states: list[ElementState]
     iterations: int
     residual_norm: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,9 @@ def solve(
     converged state, take the predictor step du = K_s^-1 dF, then iterate
     delta_u <- delta_u - K_s^-1 R with the tangent reassembled from the
     current trial state, until ||R|| <= tolerance or maxiter is hit. On
-    failure (no convergence or singular tangent) the history up to the
-    previous increment is returned with status "diverged".
+    failure (no convergence, a non-finite residual or a singular tangent)
+    the history up to the previous increment is returned with status
+    "diverged".
     """
     f_total = load_case.f_total
     if f_total.shape != (structure.n_dof,):
@@ -129,12 +129,12 @@ def solve(
             f"{structure.n_dof}")
     d_f = f_total / config.n_inc
     u = np.zeros(structure.n_dof)
+    states, _ = update_member_data(structure, u)
     records: list[IncrementRecord] = []
 
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
-            states, _ = update_member_data(structure, u)
             k_s = apply_supports(assemble_tangent(structure, states),
                                  structure.supports)
             du = solve_linear(k_s, d_f)
@@ -158,6 +158,10 @@ def solve(
             return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
                                cause=type(exc).__name__)
 
+        if not math.isfinite(r_norm):
+            log.info("increment %d reached a non-finite residual", n)
+            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
+                               cause="non-finite")
         if r_norm > config.tolerance:
             log.info("increment %d did not converge in %d iterations "
                      "(residual %.3e)", n, iterations, r_norm)
@@ -168,7 +172,7 @@ def solve(
         log.debug("increment %d converged in %d iterations (residual %.3e)",
                   n, iterations, r_norm)
         records.append(IncrementRecord(n, u.copy(), states, iterations,
-                                       r_norm, True))
+                                       r_norm))
 
     return SolveResult(records, STATUS_COMPLETED)
 
@@ -178,36 +182,47 @@ def solve(
 SNAP_JUMP_RATIO = 3.0
 
 
-def path_is_stable(
+def _stable_increments(
     structure: Structure,
     result: SolveResult,
     pattern_unit: np.ndarray,
-) -> bool:
-    """Audit a solved load path for instability events.
+) -> int:
+    """Number of converged increments before the first instability event.
 
     Collapse shows up in force control either as Newton-Raphson failure
-    (already encoded in the result status), as the converged tangent
-    turning indefinite (the path crossed a limit or bifurcation point),
-    or as a snap: a sudden jump of the load-conjugate displacement while
-    the force step stays constant. Returns False when any increment shows
-    one of the latter two.
+    (the history simply ends), as the converged tangent turning indefinite
+    (the path crossed a limit or bifurcation point), or as a snap: a
+    sudden jump of the load-conjugate displacement while the force step
+    stays constant. The increment showing either of the latter two is not
+    counted, nor is anything after it.
     """
     prev_proj = 0.0
     prev_step = None
-    for record in result.increments:
+    for held, record in enumerate(result.increments):
         k_s = apply_supports(
             assemble_tangent(structure, record.element_states),
             structure.supports)
         eigenvalues = np.linalg.eigvalsh(k_s)
         if eigenvalues[0] < -1e-8 * eigenvalues[-1]:
-            return False
+            return held
         proj = float(pattern_unit @ record.displacement)
         step = proj - prev_proj
         if (prev_step is not None and prev_step > 1e-15
                 and step / prev_step > SNAP_JUMP_RATIO):
-            return False
+            return held
         prev_proj, prev_step = proj, step
-    return True
+    return len(result.increments)
+
+
+def path_is_stable(
+    structure: Structure,
+    result: SolveResult,
+    pattern_unit: np.ndarray,
+) -> bool:
+    """True when no converged increment shows an indefinite tangent or a
+    snap jump (Newton failure is carried by the result status)."""
+    return _stable_increments(structure, result, pattern_unit) == len(
+        result.increments)
 
 
 def probe_max_force(
@@ -220,13 +235,16 @@ def probe_max_force(
 ) -> float:
     """Largest load magnitude (within resolution) the structure sustains.
 
-    Bisects the scale factor applied to ``load_pattern`` (typically a unit
-    force at one node) between a magnitude that must hold (f_lo) and one
-    that must collapse (f_hi); raises BracketInvalid when that bracket
-    does not hold. A magnitude counts as sustained when the incremental
-    solve completes with load steps no coarser than ``resolution`` and the
-    path shows no instability event (indefinite tangent or snap jump per
-    path_is_stable) on the way up. Deterministic for fixed inputs.
+    Traces one force-controlled load path of ``load_pattern`` (typically a
+    unit force at one node) from zero to ``f_hi`` in
+    ``n_inc = max(config.n_inc, ceil(f_hi / resolution))`` equal steps and
+    returns the load of the last increment before the first instability
+    event: Newton-Raphson failure, an indefinite converged tangent or a
+    snap jump. The result is therefore a multiple of the step
+    ``f_hi / n_inc``. Raises BracketInvalid when f_lo >= f_hi, when the
+    whole path to f_hi completes without an instability ("still holds at
+    f_hi") and when the returned force would fall below f_lo ("already
+    collapses at f_lo"). Deterministic for fixed inputs.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -237,26 +255,14 @@ def probe_max_force(
     norm = float(np.linalg.norm(pattern))
     if norm == 0.0:
         raise ValueError("load pattern must be nonzero")
-    unit = pattern / norm
 
-    def completes(magnitude: float) -> bool:
-        n_inc = max(config.n_inc, math.ceil(magnitude / resolution))
-        stepped = SolverConfig(n_inc=n_inc, tolerance=config.tolerance,
-                               maxiter=config.maxiter)
-        case = make_load_case(structure, magnitude * pattern)
-        result = solve(structure, case, stepped)
-        return result.completed and path_is_stable(structure, result, unit)
-
-    if f_lo > 0 and not completes(f_lo):
-        raise BracketInvalid(f"structure already collapses at f_lo = {f_lo}")
-    if completes(f_hi):
+    n_inc = max(config.n_inc, math.ceil(f_hi / resolution))
+    result = solve(structure, make_load_case(structure, f_hi * pattern),
+                   replace(config, n_inc=n_inc))
+    held = _stable_increments(structure, result, pattern / norm)
+    if held == n_inc:
         raise BracketInvalid(f"structure still holds at f_hi = {f_hi}")
-
-    lo, hi = f_lo, f_hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if completes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    force = held * f_hi / n_inc
+    if force < f_lo:
+        raise BracketInvalid(f"structure already collapses at f_lo = {f_lo}")
+    return force

@@ -154,14 +154,6 @@ class TestSweep:
         # one row per variant x magnitude x contact node: 3 + 4 nodes
         assert len(rows) == 2 * (3 + 4)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        spec = write_json(tmp_path / "sweep.json", sweep_spec())
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(["sweep", spec, str(serial)]) == 0
-        assert main(["sweep", spec, str(parallel), "--parallel"]) == 0
-        assert (sorted(serial.read_text().splitlines())
-                == sorted(parallel.read_text().splitlines()))
-
     def test_invalid_axis_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "sweep.json",
                           {"axis": "colour", "values": [1],

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import finbeam.solver
 from finbeam import (
     BracketInvalid,
     ElementProps,
+    FinRayParams,
     SolverConfig,
     SupportSet,
     build_structure,
+    generate,
+    load_at_contact_node,
     load_case,
     make_load_case,
+    path_is_stable,
     probe_max_force,
     residual,
     solve,
@@ -110,7 +115,6 @@ def test_equilibrium_and_load_bookkeeping(make_cantilever):
     result = solve(s, case, cfg)
     free = ~s.constrained_mask
     for rec in result.increments:
-        assert rec.converged
         assert rec.residual_norm <= cfg.tolerance
         # internal forces balance the load fraction n/n_inc at free DOFs
         _, f_int = update_member_data(s, rec.displacement)
@@ -167,7 +171,6 @@ def test_snap_through_limit_point_detected():
     result = solve(s, above, SolverConfig(n_inc=100))
     # force control cannot pass the limit point smoothly; either the path
     # fails outright or the probe's stability audit flags the snap
-    from finbeam import path_is_stable
     pattern = _apex_load(s, 1.0)
     unit = pattern / np.linalg.norm(pattern)
     assert (not result.completed) or not path_is_stable(s, result, unit)
@@ -205,8 +208,40 @@ def test_divergence_returns_partial_history():
     assert result.status == "diverged"
     assert result.diverged_at is not None
     assert len(result.increments) == result.diverged_at - 1
-    for rec in result.increments:
-        assert rec.converged
+
+
+def test_non_finite_residual_diverges(make_cantilever, monkeypatch):
+    def nan_residual(f_int, f_ext, supports):
+        return np.full_like(f_int, np.nan), float("nan")
+
+    monkeypatch.setattr(finbeam.solver, "residual", nan_residual)
+    s = make_cantilever(4)
+    result = solve(s, load_case(s, {4: (0.0, 0.1, 0.0)}),
+                   SolverConfig(n_inc=3))
+    assert result.status == "diverged"
+    assert result.cause == "non-finite"
+    assert result.diverged_at == 1
+    assert result.increments == []
+
+
+def test_probe_reports_first_limit_point_for_top_angle_30():
+    # Design-study loading: inward normal rotated 40 degrees to the base.
+    # Force control tunnels past the limit point near 2.85 N at some step
+    # sizes, so a search over repeated solves reported 3.81 N here.
+    direction = (math.cos(math.radians(40.0)), -math.sin(math.radians(40.0)))
+    model = generate(FinRayParams(top_angle=30.0))
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=direction).f_total
+    found = probe_max_force(model.structure, pattern, SolverConfig(n_inc=10),
+                            0.05, 4.0, 0.05)
+    assert found < 3.0
+    n_inc = round(found / 0.05)
+    result = solve(model.structure,
+                   make_load_case(model.structure, found * pattern),
+                   SolverConfig(n_inc=n_inc))
+    assert result.completed
+    assert path_is_stable(model.structure, result,
+                          pattern / np.linalg.norm(pattern))
 
 
 def _apex_load(structure, magnitude):
