@@ -113,6 +113,12 @@ class SupportSet:
         return out
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Structure:
     """Immutable meshed structure; safe to share across concurrent solves."""
@@ -149,6 +155,52 @@ class Structure:
             dtype=np.intp).reshape(len(self.elements), 6)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def element_l0(self) -> np.ndarray:
+        """(n_elements,) reference lengths, read-only."""
+        return _read_only([e.l0 for e in self.elements])
+
+    @cached_property
+    def element_beta0(self) -> np.ndarray:
+        """(n_elements,) reference chord angles, read-only."""
+        return _read_only([e.beta0 for e in self.elements])
+
+    @cached_property
+    def element_chord0(self) -> np.ndarray:
+        """(n_elements, 2) reference chords l0*(cos beta0, sin beta0)."""
+        return _read_only(
+            [(e.l0 * math.cos(e.beta0), e.l0 * math.sin(e.beta0))
+             for e in self.elements]).reshape(len(self.elements), 2)
+
+    @cached_property
+    def element_stiffness(self) -> np.ndarray:
+        """(n_elements, 3, 3) local material stiffness Cl, read-only.
+
+        Cl maps the local deformations [u_l, theta_1l, theta_2l] to the
+        local forces [N, M1, M2]: EA/L0 on the axial diagonal and
+        (EI/L0) [[4, 2], [2, 4]] in the bending block, which is zero for
+        pin-ended elements.
+        """
+        arr = np.zeros((len(self.elements), 3, 3))
+        for index, e in enumerate(self.elements):
+            arr[index, 0, 0] = e.props.e_modulus * e.props.area / e.l0
+            if e.props.kind != KIND_PIN:
+                ei_l0 = e.props.e_modulus * e.props.inertia / e.l0
+                arr[index, 1:, 1:] = ((4.0 * ei_l0, 2.0 * ei_l0),
+                                      (2.0 * ei_l0, 4.0 * ei_l0))
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def element_scatter(self) -> np.ndarray:
+        """(n_elements * 36,) flat indices into the (n_dof * n_dof) global
+        matrix of each element's 6x6 block, in element order, read-only."""
+        dofs = self.element_dofs
+        flat = dofs[:, :, None] * self.n_dof + dofs[:, None, :]
+        flat = flat.ravel()
+        flat.setflags(write=False)
+        return flat
 
     @cached_property
     def constrained_mask(self) -> np.ndarray:

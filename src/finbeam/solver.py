@@ -65,7 +65,7 @@ class IncrementRecord:
 
     n: int
     displacement: np.ndarray
-    element_states: list[ElementState]
+    element_states: ElementState
     iterations: int
     residual_norm: float
 

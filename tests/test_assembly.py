@@ -1,15 +1,29 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finbeam import (
+    KIND_BEAM,
+    KIND_PIN,
     DegenerateElement,
     ElementProps,
+    FinRayParams,
     SingularMatrix,
     SupportSet,
     apply_supports,
     assemble_tangent,
     build_structure,
+    current_geometry,
+    element_tangent_stiffness,
+    generate,
+    global_internal_force,
+    local_displacements,
+    local_forces,
     solve_linear,
+    transformation_matrix,
     update_member_data,
 )
 from conftest import AREA, E_MOD, INERTIA
@@ -30,10 +44,10 @@ def single_bar():
 
 def test_zero_displacement_gives_zero_forces():
     s = single_bar()
-    states, f_int = update_member_data(s, np.zeros(6))
+    state, f_int = update_member_data(s, np.zeros(6))
     assert np.array_equal(f_int, np.zeros(6))
-    assert states[0].forces.n_axial == 0.0
-    assert states[0].forces.m1 == 0.0
+    assert state.n_axial[0] == 0.0
+    assert state.m1[0] == 0.0
 
 
 def test_single_bar_stretch_internal_force():
@@ -173,3 +187,88 @@ def test_global_tangent_matches_finite_differences(rng):
         lambda x: update_member_data(s, x)[1], u, 1e-7)
     err = np.linalg.norm(k - k_fd, "fro") / np.linalg.norm(k_fd, "fro")
     assert err < 1e-4, f"relative Frobenius error {err:.3e}"
+
+
+def scalar_reference(structure, u):
+    """F_int and K from a loop over the scalar corotational kernels."""
+    n = structure.n_dof
+    f_int = np.zeros(n)
+    k = np.zeros((n, n))
+    for index, element in enumerate(structure.elements):
+        dofs = structure.element_dofs[index]
+        p = u[dofs]
+        geometry = current_geometry(element, p)
+        forces = local_forces(element.props, element.l0,
+                              local_displacements(element, p, geometry))
+        f_int[dofs] += global_internal_force(
+            transformation_matrix(geometry), forces)
+        k[np.ix_(dofs, dofs)] += element_tangent_stiffness(
+            element.props, element.l0, geometry, forces)
+    return f_int, k
+
+
+def rigid_motion(structure, angle, shift):
+    """Displacement vector of a rigid turn by angle about the origin plus a
+    translation by shift."""
+    c, s = math.cos(angle), math.sin(angle)
+    x = structure.coords
+    moved = x @ np.array([[c, s], [-s, c]]) + shift
+    u = np.zeros(structure.n_dof)
+    u[0::3] = moved[:, 0] - x[:, 0]
+    u[1::3] = moved[:, 1] - x[:, 1]
+    u[2::3] = angle
+    return u
+
+
+@pytest.mark.parametrize("params", [
+    FinRayParams(), FinRayParams(connection="simple"),
+    FinRayParams(n_crossbeams=5)], ids=["default", "simple", "crossbeams5"])
+def test_batched_kernels_match_scalar_reference(params, rng):
+    s = generate(params).structure
+    for angle in (-7.0, -math.pi - 0.3, 0.0, 2.5, math.pi + 0.3, 7.0):
+        u = rigid_motion(s, angle, rng.uniform(-0.05, 0.05, size=2))
+        u[0::3] += rng.uniform(-5e-4, 5e-4, size=len(s.nodes))
+        u[1::3] += rng.uniform(-5e-4, 5e-4, size=len(s.nodes))
+        u[2::3] += rng.uniform(-0.3, 0.3, size=len(s.nodes))
+        f_ref, k_ref = scalar_reference(s, u)
+        state, f_int = update_member_data(s, u)
+        k = assemble_tangent(s, state)
+        assert np.abs(f_int - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+        assert np.abs(k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
+
+
+@st.composite
+def small_frames(draw):
+    """Tree-connected frames of 2 to 6 elements, mixing beam and pin-ended
+    elements, with every element at least 0.1 m long, clamped at node 0."""
+    n_elements = draw(st.integers(2, 6))
+    coordinate = st.floats(-1.0, 1.0)
+    nodes = [(0, 0.0, 0.0)]
+    specs = []
+    for j in range(1, n_elements + 1):
+        i = draw(st.integers(0, j - 1))
+        x, y = draw(st.tuples(coordinate, coordinate).filter(
+            lambda q: math.hypot(q[0] - nodes[i][1], q[1] - nodes[i][2])
+            >= 0.1))
+        nodes.append((j, x, y))
+        kind = draw(st.sampled_from([KIND_BEAM, KIND_PIN]))
+        specs.append((i, j, ElementProps(E_MOD, AREA, INERTIA, kind)))
+    return build_structure(nodes, specs, {0: FIXED})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(structure=small_frames(),
+       angle=st.floats(-7.0, 7.0),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_rigid_motion_is_force_free_and_tangent_symmetric(
+        structure, angle, shift, seed):
+    u = rigid_motion(structure, angle, np.array(shift))
+    state, f_int = update_member_data(structure, u)
+    assert np.abs(f_int).max() <= 1e-10
+    for forces in (state.n_axial, state.m1, state.m2):
+        assert np.abs(forces).max() <= 1e-10
+
+    u += np.random.default_rng(seed).uniform(-0.01, 0.01, size=u.size)
+    k = assemble_tangent(structure, update_member_data(structure, u)[0])
+    assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()

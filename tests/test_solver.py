@@ -224,6 +224,24 @@ def test_non_finite_residual_diverges(make_cantilever, monkeypatch):
     assert result.increments == []
 
 
+def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
+    exact = finbeam.solver.solve_linear
+
+    def infinite_rotation_step(k_s, rhs):
+        step = exact(k_s, rhs)
+        step[2::3] = np.inf
+        return step
+
+    monkeypatch.setattr(finbeam.solver, "solve_linear",
+                        infinite_rotation_step)
+    model = generate(FinRayParams())
+    result = solve(model.structure, load_at_contact_node(model, 2, 0.1),
+                   SolverConfig(n_inc=3))
+    assert result.status == "diverged"
+    assert result.cause == "non-finite"
+    assert result.diverged_at == 1
+
+
 def test_probe_reports_first_limit_point_for_top_angle_30():
     # Design-study loading: inward normal rotated 40 degrees to the base.
     # Force control tunnels past the limit point near 2.85 N at some step
