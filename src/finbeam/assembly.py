@@ -170,21 +170,28 @@ def apply_supports(k: np.ndarray, supports: SupportSet) -> np.ndarray:
     return k_s
 
 
-def solve_linear(k_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_linear(k_s: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Direct dense solve of K_s x = rhs with partial pivoting.
 
-    Raises SingularMatrix when any pivot falls below SINGULAR_PIVOT_RATIO
-    of the largest pivot, which signals a mechanism or structural
-    instability rather than a solvable system.
+    Returns x and the sign of det K_s (+1 or -1), read from the same LU:
+    the signs of U's diagonal times the parity of the row swaps. For a
+    symmetric K_s it is -1 exactly when an odd number of eigenvalues is
+    negative. Raises SingularMatrix when any pivot falls below
+    SINGULAR_PIVOT_RATIO of the largest pivot, which signals a mechanism
+    or structural instability rather than a solvable system.
     """
     with warnings.catch_warnings():
         # the pivot check below raises SingularMatrix instead
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(k_s, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    diagonal = np.diag(lu)
+    pivots = np.abs(diagonal)
     largest = pivots.max() if pivots.size else 0.0
     if largest == 0.0 or pivots.min() < SINGULAR_PIVOT_RATIO * largest:
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / largest if largest else 0.0:.3e} "
             "below threshold; structure is unstable or a mechanism")
-    return lu_solve((lu, piv), rhs, check_finite=False)
+    # piv[i] is the row swapped with row i; piv[i] == i means no swap
+    flips = np.count_nonzero(diagonal < 0) + np.count_nonzero(
+        piv != np.arange(piv.size))
+    return lu_solve((lu, piv), rhs, check_finite=False), 1 - 2 * (flips % 2)

@@ -4,8 +4,10 @@ The total load is applied in ``n_inc`` equal increments. Each increment
 takes a tangent predictor step and then full-Newton corrector iterations
 (tangent reassembled from the current trial state every iteration) until
 the force residual norm over the free DOFs drops below the tolerance.
-Non-convergence is reported as data, not raised, so design sweeps and
-maximum-force probes can observe failures gracefully.
+The path ends at its first instability: Newton failure, a snap, or a
+converged tangent whose determinant sign, read from the next predictor's
+LU, turns negative. Such an end is reported as data, not raised, so design
+sweeps and maximum-force probes can observe failures gracefully.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (
-    ElementState,
     SingularMatrix,
     apply_supports,
     assemble_tangent,
@@ -32,6 +33,10 @@ log = logging.getLogger(__name__)
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
+
+# A load increment whose conjugate displacement step exceeds this multiple
+# of the previous step is read as a snap-through.
+SNAP_JUMP_RATIO = 3.0
 
 
 class BracketInvalid(ValueError):
@@ -65,7 +70,6 @@ class IncrementRecord:
 
     n: int
     displacement: np.ndarray
-    element_states: ElementState
     iterations: int
     residual_norm: float
 
@@ -112,15 +116,23 @@ def solve(
     load_case: LoadCase,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Trace the equilibrium path under incrementally applied load.
+    """Trace the equilibrium path under incrementally applied load up to
+    its first instability.
 
     Per increment n: assemble the support-modified tangent at the last
     converged state, take the predictor step du = K_s^-1 dF, then iterate
     delta_u <- delta_u - K_s^-1 R with the tangent reassembled from the
-    current trial state, until ||R|| <= tolerance or maxiter is hit. On
-    failure (no convergence, a non-finite residual or a singular tangent)
-    the history up to the previous increment is returned with status
-    "diverged".
+    current trial state, until ||R|| <= tolerance or maxiter is hit.
+
+    The solve ends with status "diverged", a cause and the history before
+    increment ``diverged_at`` on: a singular tangent or a degenerate
+    element, a non-finite residual or no convergence in increment n; a
+    snap, when n's displacement step along the load exceeds
+    SNAP_JUMP_RATIO times the previous one ("snap", at n); or a negative
+    det K_s in n's predictor LU, i.e. an odd number of negative
+    eigenvalues at the state converged in n - 1 ("indefinite", at n - 1).
+    The sign costs no extra factorization. The unloaded state and the last
+    converged state have no predictor to audit them and go unchecked.
     """
     f_total = load_case.f_total
     if f_total.shape != (structure.n_dof,):
@@ -128,16 +140,23 @@ def solve(
             f"load vector length {f_total.shape} does not match n_dof "
             f"{structure.n_dof}")
     d_f = f_total / config.n_inc
+    direction = f_total / (np.linalg.norm(f_total) or 1.0)
     u = np.zeros(structure.n_dof)
     states, _ = update_member_data(structure, u)
     records: list[IncrementRecord] = []
+    prev_step = math.inf
 
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
             k_s = apply_supports(assemble_tangent(structure, states),
                                  structure.supports)
-            du = solve_linear(k_s, d_f)
+            du, det_sign = solve_linear(k_s, d_f)
+            if det_sign < 0 and records:
+                log.info("increment %d converged to an indefinite tangent",
+                         n - 1)
+                return SolveResult(records[:-1], STATUS_DIVERGED,
+                                   diverged_at=n - 1, cause="indefinite")
 
             u_trial = u + du
             states, f_int = update_member_data(structure, u_trial)
@@ -148,7 +167,7 @@ def solve(
             while r_norm > config.tolerance and iterations < config.maxiter:
                 k_s = apply_supports(assemble_tangent(structure, states),
                                      structure.supports)
-                delta_u = delta_u - solve_linear(k_s, r_vec)
+                delta_u = delta_u - solve_linear(k_s, r_vec)[0]
                 u_trial = u + du + delta_u
                 states, f_int = update_member_data(structure, u_trial)
                 r_vec, r_norm = residual(f_int, f_ext, structure.supports)
@@ -168,61 +187,25 @@ def solve(
             return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
                                cause="no convergence")
 
+        step = float(direction @ (u_trial - u))
+        if prev_step > 1e-15 and step / prev_step > SNAP_JUMP_RATIO:
+            log.info("increment %d snapped (step ratio %.3g)", n,
+                     step / prev_step)
+            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
+                               cause="snap")
+        prev_step = step
+
         u = u_trial
         log.debug("increment %d converged in %d iterations (residual %.3e)",
                   n, iterations, r_norm)
-        records.append(IncrementRecord(n, u.copy(), states, iterations,
-                                       r_norm))
+        records.append(IncrementRecord(n, u.copy(), iterations, r_norm))
 
     return SolveResult(records, STATUS_COMPLETED)
 
 
-# A load increment whose conjugate displacement step exceeds this multiple
-# of the previous step is read as a snap-through.
-SNAP_JUMP_RATIO = 3.0
-
-
-def _stable_increments(
-    structure: Structure,
-    result: SolveResult,
-    pattern_unit: np.ndarray,
-) -> int:
-    """Number of converged increments before the first instability event.
-
-    Collapse shows up in force control either as Newton-Raphson failure
-    (the history simply ends), as the converged tangent turning indefinite
-    (the path crossed a limit or bifurcation point), or as a snap: a
-    sudden jump of the load-conjugate displacement while the force step
-    stays constant. The increment showing either of the latter two is not
-    counted, nor is anything after it.
-    """
-    prev_proj = 0.0
-    prev_step = None
-    for held, record in enumerate(result.increments):
-        k_s = apply_supports(
-            assemble_tangent(structure, record.element_states),
-            structure.supports)
-        eigenvalues = np.linalg.eigvalsh(k_s)
-        if eigenvalues[0] < -1e-8 * eigenvalues[-1]:
-            return held
-        proj = float(pattern_unit @ record.displacement)
-        step = proj - prev_proj
-        if (prev_step is not None and prev_step > 1e-15
-                and step / prev_step > SNAP_JUMP_RATIO):
-            return held
-        prev_proj, prev_step = proj, step
-    return len(result.increments)
-
-
-def path_is_stable(
-    structure: Structure,
-    result: SolveResult,
-    pattern_unit: np.ndarray,
-) -> bool:
-    """True when no converged increment shows an indefinite tangent or a
-    snap jump (Newton failure is carried by the result status)."""
-    return _stable_increments(structure, result, pattern_unit) == len(
-        result.increments)
+def path_is_stable(result: SolveResult) -> bool:
+    """False when the path ended at an indefinite tangent or a snap."""
+    return result.cause not in ("indefinite", "snap")
 
 
 def probe_max_force(
@@ -237,14 +220,14 @@ def probe_max_force(
 
     Traces one force-controlled load path of ``load_pattern`` (typically a
     unit force at one node) from zero to ``f_hi`` in
-    ``n_inc = max(config.n_inc, ceil(f_hi / resolution))`` equal steps and
-    returns the load of the last increment before the first instability
-    event: Newton-Raphson failure, an indefinite converged tangent or a
-    snap jump. The result is therefore a multiple of the step
-    ``f_hi / n_inc``. Raises BracketInvalid when f_lo >= f_hi, when the
-    whole path to f_hi completes without an instability ("still holds at
-    f_hi") and when the returned force would fall below f_lo ("already
-    collapses at f_lo"). Deterministic for fixed inputs.
+    ``n_inc = max(config.n_inc, ceil(f_hi / resolution))`` equal steps.
+    ``solve`` ends that path at its first instability event (Newton-Raphson
+    failure, an indefinite converged tangent or a snap), so the probe
+    returns the load of its last recorded increment, a multiple of the
+    step ``f_hi / n_inc``. Raises BracketInvalid when f_lo >= f_hi, when
+    the whole path to f_hi completes ("still holds at f_hi") and when the
+    returned force would fall below f_lo ("already collapses at f_lo").
+    Deterministic for fixed inputs.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -252,14 +235,13 @@ def probe_max_force(
         raise BracketInvalid(f"need 0 <= f_lo < f_hi, got [{f_lo}, {f_hi}]")
 
     pattern = np.asarray(load_pattern, dtype=float)
-    norm = float(np.linalg.norm(pattern))
-    if norm == 0.0:
+    if not np.any(pattern):
         raise ValueError("load pattern must be nonzero")
 
     n_inc = max(config.n_inc, math.ceil(f_hi / resolution))
     result = solve(structure, make_load_case(structure, f_hi * pattern),
                    replace(config, n_inc=n_inc))
-    held = _stable_increments(structure, result, pattern / norm)
+    held = len(result.increments)
     if held == n_inc:
         raise BracketInvalid(f"structure still holds at f_hi = {f_hi}")
     force = held * f_hi / n_inc

@@ -110,6 +110,28 @@ class TestSolve:
         increments = {int(r["increment"]) for r in rows}
         assert increments and max(increments) < 10
 
+    def test_indefinite_tangent_exits_3_with_history_before_it(
+            self, tmp_path, capsys):
+        # clamped-free column pushed to twice its Euler load in 20 steps:
+        # the state at increment 11 (1.1 P_cr) is the first unstable one
+        length, e_mod, area, inertia = 72e-3, 2e7, 2e-5, 20e-3 * 1e-9 / 12
+        p_cr = math.pi**2 * e_mod * inertia / (4 * length**2)
+        structure = write_json(tmp_path / "s.json", {
+            "nodes": [{"id": i, "x": i * length / 16, "y": 0.0}
+                      for i in range(17)],
+            "elements": [{"i": i, "j": i + 1, "E": e_mod, "A": area,
+                          "I": inertia, "kind": "beam"} for i in range(16)],
+            "supports": [{"node": 0, "u": True, "w": True, "theta": True}]})
+        load = write_json(tmp_path / "load.json",
+                          {"forces": [{"node": 16, "fx": -2.0 * p_cr}]})
+        out = tmp_path / "r.csv"
+        code = main(["solve", structure, load, str(out), "--n-inc", "20"])
+        assert code == 3
+        assert "diverged at increment 11 (indefinite)" in (
+            capsys.readouterr().err)
+        assert {int(r["increment"]) for r in read_csv(out)} == set(
+            range(1, 11))
+
     def test_load_on_support_exits_2(self, tmp_path, structure_file):
         load = write_json(tmp_path / "load.json",
                           {"forces": [{"node": 0, "fx": 1.0}]})

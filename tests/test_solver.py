@@ -21,11 +21,14 @@ from finbeam import (
     solve,
     update_member_data,
 )
-from conftest import AREA, E_MOD, INERTIA
+from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA
 
 from oracles import elastica_cantilever_tip
 
 FIXED = (True, True, True)
+# Design-study loading: inward normal rotated 40 degrees to the base.
+STUDY_DIRECTION = (math.cos(math.radians(40.0)),
+                   -math.sin(math.radians(40.0)))
 
 
 class TestResidual:
@@ -169,11 +172,10 @@ def test_snap_through_limit_point_detected():
     above = make_load_case(s, _apex_load(s, 1.05 * limit))
     assert solve(s, below, SolverConfig(n_inc=20)).completed
     result = solve(s, above, SolverConfig(n_inc=100))
-    # force control cannot pass the limit point smoothly; either the path
-    # fails outright or the probe's stability audit flags the snap
-    pattern = _apex_load(s, 1.0)
-    unit = pattern / np.linalg.norm(pattern)
-    assert (not result.completed) or not path_is_stable(s, result, unit)
+    # force control cannot pass the limit point smoothly; the solve's
+    # stability audit ends the path at the snap
+    assert (not result.completed) or not path_is_stable(result)
+    assert result.cause == "snap"
 
 
 def test_probe_matches_von_mises_limit():
@@ -228,9 +230,9 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     exact = finbeam.solver.solve_linear
 
     def infinite_rotation_step(k_s, rhs):
-        step = exact(k_s, rhs)
+        step, det_sign = exact(k_s, rhs)
         step[2::3] = np.inf
-        return step
+        return step, det_sign
 
     monkeypatch.setattr(finbeam.solver, "solve_linear",
                         infinite_rotation_step)
@@ -243,13 +245,11 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
 
 
 def test_probe_reports_first_limit_point_for_top_angle_30():
-    # Design-study loading: inward normal rotated 40 degrees to the base.
     # Force control tunnels past the limit point near 2.85 N at some step
     # sizes, so a search over repeated solves reported 3.81 N here.
-    direction = (math.cos(math.radians(40.0)), -math.sin(math.radians(40.0)))
     model = generate(FinRayParams(top_angle=30.0))
     pattern = load_at_contact_node(model, 2, 1.0,
-                                   direction=direction).f_total
+                                   direction=STUDY_DIRECTION).f_total
     found = probe_max_force(model.structure, pattern, SolverConfig(n_inc=10),
                             0.05, 4.0, 0.05)
     assert found < 3.0
@@ -258,8 +258,39 @@ def test_probe_reports_first_limit_point_for_top_angle_30():
                    make_load_case(model.structure, found * pattern),
                    SolverConfig(n_inc=n_inc))
     assert result.completed
-    assert path_is_stable(model.structure, result,
-                          pattern / np.linalg.norm(pattern))
+    assert path_is_stable(result)
+
+
+def test_euler_column_ends_at_critical_load(make_cantilever):
+    # clamped-free column under axial tip compression buckles at
+    # P_cr = pi^2 EI / (4 L^2); the perfect column stays straight, so only
+    # the tangent's determinant sign can show the bifurcation
+    s = make_cantilever(16, length=FINGER_HEIGHT)
+    p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(16, "u")] = -1.0
+    step = p_cr / 100
+    found = probe_max_force(s, pattern, SolverConfig(n_inc=10),
+                            0.1 * p_cr, 2.0 * p_cr, step)
+    assert p_cr - step <= found <= p_cr * (1 + 1e-12)
+
+    result = solve(s, make_load_case(s, 2.0 * p_cr * pattern),
+                   SolverConfig(n_inc=20))
+    assert result.cause == "indefinite"
+    assert result.diverged_at == 11
+    assert len(result.increments) == 10
+    assert not path_is_stable(result)
+
+
+def test_path_stops_at_first_snap():
+    # the probe's path for the two-crossbeam study finger; force control
+    # used to run on to 4 N after snapping at increment 15
+    model = generate(FinRayParams(n_crossbeams=2))
+    case = load_at_contact_node(model, 2, 4.0, direction=STUDY_DIRECTION)
+    result = solve(model.structure, case, SolverConfig(n_inc=80))
+    assert result.cause == "snap"
+    assert result.diverged_at == 15
+    assert len(result.increments) == 14
 
 
 def _apex_load(structure, magnitude):
