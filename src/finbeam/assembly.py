@@ -162,11 +162,10 @@ def apply_supports(k: np.ndarray, supports: SupportSet) -> np.ndarray:
     supports. Unconstrained entries are untouched.
     """
     k_s = k.copy()
-    dofs = [d for d in supports.constrained_dofs() if d < k.shape[0]]
-    if dofs:
-        k_s[dofs, :] = 0.0
-        k_s[:, dofs] = 0.0
-        k_s[dofs, dofs] = 1.0
+    dofs = supports.dofs
+    k_s[dofs, :] = 0.0
+    k_s[:, dofs] = 0.0
+    k_s[dofs, dofs] = 1.0
     return k_s
 
 

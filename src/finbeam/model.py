@@ -96,21 +96,15 @@ class SupportSet:
 
     constrained: Mapping[int, tuple[bool, bool, bool]]
 
-    def constrained_dofs(self) -> list[int]:
-        """Sorted global DOF indices that are fixed to zero."""
-        dofs = []
-        for node_id in sorted(self.constrained):
-            for k, fixed in enumerate(self.constrained[node_id]):
-                if fixed:
-                    dofs.append(3 * node_id + k)
-        return dofs
-
-    def mask(self, n_dof: int) -> np.ndarray:
-        """Boolean array of length n_dof, True at constrained DOFs."""
-        out = np.zeros(n_dof, dtype=bool)
-        for d in self.constrained_dofs():
-            out[d] = True
-        return out
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        """Sorted global DOF indices that are fixed to zero, read-only."""
+        arr = np.array([3 * node_id + k
+                        for node_id in sorted(self.constrained)
+                        for k, fixed in enumerate(self.constrained[node_id])
+                        if fixed], dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
 
 
 def _read_only(values) -> np.ndarray:
@@ -201,12 +195,6 @@ class Structure:
         flat = flat.ravel()
         flat.setflags(write=False)
         return flat
-
-    @cached_property
-    def constrained_mask(self) -> np.ndarray:
-        arr = self.supports.mask(self.n_dof)
-        arr.setflags(write=False)
-        return arr
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,8 @@ def make_load_case(structure: Structure, f_total: np.ndarray) -> LoadCase:
             f"force vector has shape {f.shape}, expected ({structure.n_dof},)")
     if not np.all(np.isfinite(f)):
         raise ModelError("force vector has non-finite entries")
-    bad = np.flatnonzero(structure.constrained_mask & (f != 0.0))
+    fixed = structure.supports.dofs
+    bad = fixed[f[fixed] != 0.0]
     if bad.size:
         raise ModelError(
             f"load applied at constrained DOF(s) {bad.tolist()}; fix the "

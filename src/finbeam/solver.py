@@ -31,9 +31,6 @@ from .model import LoadCase, Structure, SupportSet, make_load_case
 
 log = logging.getLogger(__name__)
 
-STATUS_COMPLETED = "completed"
-STATUS_DIVERGED = "diverged"
-
 # A load increment whose conjugate displacement step exceeds this multiple
 # of the previous step is read as a snap-through.
 SNAP_JUMP_RATIO = 3.0
@@ -76,16 +73,27 @@ class IncrementRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Full increment history plus the termination status."""
+    """Increment history plus the cause that ended the path early.
+
+    ``cause`` is None when every increment converged. Otherwise the path
+    ended at increment ``diverged_at``, and ``increments`` holds exactly
+    the records before it, so ``len(increments) == diverged_at - 1``.
+    """
 
     increments: list[IncrementRecord]
-    status: str
-    diverged_at: Optional[int] = None
     cause: Optional[str] = None
 
     @property
     def completed(self) -> bool:
-        return self.status == STATUS_COMPLETED
+        return self.cause is None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.completed else "diverged"
+
+    @property
+    def diverged_at(self) -> Optional[int]:
+        return None if self.completed else len(self.increments) + 1
 
     @property
     def final_displacement(self) -> np.ndarray:
@@ -105,9 +113,7 @@ def residual(
     reactions, not an equilibrium error), and its Euclidean norm.
     """
     r = f_int - f_ext
-    for d in supports.constrained_dofs():
-        if d < r.size:
-            r[d] = 0.0
+    r[supports.dofs] = 0.0
     return r, float(math.sqrt(r @ r))
 
 
@@ -133,12 +139,11 @@ def solve(
     eigenvalues at the state converged in n - 1 ("indefinite", at n - 1).
     The sign costs no extra factorization. The unloaded state and the last
     converged state have no predictor to audit them and go unchecked.
+
+    Raises ModelError when the load fails make_load_case's check: a wrong
+    shape, a non-finite entry or a force on a fixed DOF.
     """
-    f_total = load_case.f_total
-    if f_total.shape != (structure.n_dof,):
-        raise ValueError(
-            f"load vector length {f_total.shape} does not match n_dof "
-            f"{structure.n_dof}")
+    f_total = make_load_case(structure, load_case.f_total).f_total
     d_f = f_total / config.n_inc
     direction = f_total / (np.linalg.norm(f_total) or 1.0)
     u = np.zeros(structure.n_dof)
@@ -155,8 +160,7 @@ def solve(
             if det_sign < 0 and records:
                 log.info("increment %d converged to an indefinite tangent",
                          n - 1)
-                return SolveResult(records[:-1], STATUS_DIVERGED,
-                                   diverged_at=n - 1, cause="indefinite")
+                return SolveResult(records[:-1], "indefinite")
 
             u_trial = u + du
             states, f_int = update_member_data(structure, u_trial)
@@ -174,25 +178,21 @@ def solve(
                 iterations += 1
         except (SingularMatrix, DegenerateElement) as exc:
             log.info("increment %d failed: %s", n, exc)
-            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
-                               cause=type(exc).__name__)
+            return SolveResult(records, type(exc).__name__)
 
         if not math.isfinite(r_norm):
             log.info("increment %d reached a non-finite residual", n)
-            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
-                               cause="non-finite")
+            return SolveResult(records, "non-finite")
         if r_norm > config.tolerance:
             log.info("increment %d did not converge in %d iterations "
                      "(residual %.3e)", n, iterations, r_norm)
-            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
-                               cause="no convergence")
+            return SolveResult(records, "no convergence")
 
         step = float(direction @ (u_trial - u))
         if prev_step > 1e-15 and step / prev_step > SNAP_JUMP_RATIO:
             log.info("increment %d snapped (step ratio %.3g)", n,
                      step / prev_step)
-            return SolveResult(records, STATUS_DIVERGED, diverged_at=n,
-                               cause="snap")
+            return SolveResult(records, "snap")
         prev_step = step
 
         u = u_trial
@@ -200,7 +200,7 @@ def solve(
                   n, iterations, r_norm)
         records.append(IncrementRecord(n, u.copy(), iterations, r_norm))
 
-    return SolveResult(records, STATUS_COMPLETED)
+    return SolveResult(records, None)
 
 
 def path_is_stable(result: SolveResult) -> bool:

@@ -180,6 +180,18 @@ class TestSweep:
         # one row per variant x magnitude x contact node: 3 + 4 nodes
         assert len(rows) == 2 * (3 + 4)
 
+    def test_probe_rigid_connection_outlasts_simple(self, tmp_path):
+        data = sweep_spec(values=("simple", "rigid"), probe_hi=4.0)
+        data["axis"] = "connection"
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        forces = [v["max_allowable_force"] for v in summary["variants"]]
+        assert forces == [0.75, 1.25]
+        assert summary["trends"]["rigid_max_force_exceeds_simple"] is True
+        assert summary["trends"]["simple_over_rigid_ratio"] > 1.0
+
     def test_invalid_axis_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "sweep.json",
                           {"axis": "colour", "values": [1],

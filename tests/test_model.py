@@ -10,6 +10,7 @@ from finbeam import (
     DuplicateNode,
     ElementProps,
     ModelError,
+    SupportSet,
     UnconstrainedStructure,
     UnknownNode,
     build_structure,
@@ -162,6 +163,13 @@ def test_load_non_finite_rejected():
         load_case(s, {1: (float("nan"), 0.0, 0.0)})
 
 
+def test_support_dofs_sorted_and_read_only():
+    supports = SupportSet({2: (False, True, False), 0: FIXED})
+    assert supports.dofs.tolist() == [0, 1, 2, 7]
+    with pytest.raises(ValueError):
+        supports.dofs[0] = 5
+
+
 def test_json_round_trip():
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 1.0)]
     elements = [(0, 1, props()), (1, 2, props("pin-ended"))]
@@ -171,7 +179,7 @@ def test_json_round_trip():
     s2 = structure_from_dict(doc)
     assert s2.nodes == s.nodes
     assert s2.elements == s.elements
-    assert s2.supports.constrained_dofs() == s.supports.constrained_dofs()
+    assert np.array_equal(s2.supports.dofs, s.supports.dofs)
     assert s2.elements[1].props.kind == "pin-ended"
 
 

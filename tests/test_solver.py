@@ -8,6 +8,8 @@ from finbeam import (
     BracketInvalid,
     ElementProps,
     FinRayParams,
+    LoadCase,
+    ModelError,
     SolverConfig,
     SupportSet,
     build_structure,
@@ -116,7 +118,7 @@ def test_equilibrium_and_load_bookkeeping(make_cantilever):
     case = load_case(s, {8: (0.0, load, 0.0)})
     cfg = SolverConfig(n_inc=5)
     result = solve(s, case, cfg)
-    free = ~s.constrained_mask
+    free = np.setdiff1d(np.arange(s.n_dof), s.supports.dofs)
     for rec in result.increments:
         assert rec.residual_norm <= cfg.tolerance
         # internal forces balance the load fraction n/n_inc at free DOFs
@@ -210,6 +212,32 @@ def test_divergence_returns_partial_history():
     assert result.status == "diverged"
     assert result.diverged_at is not None
     assert len(result.increments) == result.diverged_at - 1
+
+
+def test_hand_built_load_on_fixed_dof_rejected():
+    # make_load_case rejects this vector; built by hand, it used to pass
+    # solve's shape check, and the zero-and-one elimination turned the
+    # force on the clamped root into a 0.1 m prescribed displacement
+    model = generate(FinRayParams())
+    s = model.structure
+    f = load_at_contact_node(model, 1, 0.1).f_total.copy()
+    f[s.dof_index(0, "u")] = 0.1
+    with pytest.raises(ModelError):
+        solve(s, LoadCase(f), SolverConfig())
+
+
+def test_mechanism_diverges_as_singular_matrix():
+    # a pin-ended bar has no transverse or rotational stiffness at its
+    # free end, so the very first predictor meets a singular tangent
+    pin = ElementProps(E_MOD, AREA, INERTIA, "pin-ended")
+    s = build_structure([(0, 0.0, 0.0), (1, 0.05, 0.0)], [(0, 1, pin)],
+                        {0: FIXED})
+    result = solve(s, load_case(s, {1: (0.0, 0.01, 0.0)}),
+                   SolverConfig(n_inc=3))
+    assert result.status == "diverged"
+    assert result.cause == "SingularMatrix"
+    assert result.diverged_at == 1
+    assert result.increments == []
 
 
 def test_non_finite_residual_diverges(make_cantilever, monkeypatch):
