@@ -4,17 +4,16 @@ Element kinematics, local forces and tangents are evaluated as arrays over
 all elements at once; the scalar kernels in ``corotational`` are the
 per-element reference they are tested against. Fin-Ray scale models have
 at most a few hundred DOFs, so the global matrix is kept dense and
-factorised directly with partial pivoting.
+factorised directly as L D L^T, whose inertia is the stability audit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 # current_geometry and element_tangent_stiffness are not called here; they
 # stay importable from this module because bench/tracer.py counts calls to
@@ -170,27 +169,27 @@ def apply_supports(k: np.ndarray, supports: SupportSet) -> np.ndarray:
 
 
 def solve_linear(k_s: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Direct dense solve of K_s x = rhs with partial pivoting.
+    """Direct dense solve of the symmetric system K_s x = rhs.
 
-    Returns x and the sign of det K_s (+1 or -1), read from the same LU:
-    the signs of U's diagonal times the parity of the row swaps. For a
-    symmetric K_s it is -1 exactly when an odd number of eigenvalues is
-    negative. Raises SingularMatrix when any pivot falls below
-    SINGULAR_PIVOT_RATIO of the largest pivot, which signals a mechanism
-    or structural instability rather than a solvable system.
+    Returns x and the number of negative eigenvalues of K_s, which by
+    Sylvester's law of inertia equals that of the block-diagonal D from
+    Bunch-Kaufman pivoting (LAPACK dsytrf); each 2x2 block of D has a
+    negative determinant and so one eigenvalue of each sign. Raises
+    SingularMatrix when an eigenvalue of D falls below SINGULAR_PIVOT_RATIO
+    of the largest, which signals a mechanism or structural instability.
     """
-    with warnings.catch_warnings():
-        # the pivot check below raises SingularMatrix instead
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(k_s, check_finite=False)
-    diagonal = np.diag(lu)
-    pivots = np.abs(diagonal)
+    ldu, ipiv, info = dsytrf(k_s, lower=1)
+    # ipiv[k] == ipiv[k + 1] < 0 marks a 2x2 block of D in rows k and k + 1
+    eigenvalues = np.diag(ldu).copy()
+    blocks = np.flatnonzero(ipiv < 0).reshape(-1, 2)
+    eigenvalues[blocks] = np.linalg.eigvalsh(
+        ldu[blocks[:, :, None], blocks[:, None, :]])
+    pivots = np.abs(eigenvalues)
     largest = pivots.max() if pivots.size else 0.0
-    if largest == 0.0 or pivots.min() < SINGULAR_PIVOT_RATIO * largest:
+    if info > 0 or largest == 0.0 or (
+            pivots.min() < SINGULAR_PIVOT_RATIO * largest):
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / largest if largest else 0.0:.3e} "
             "below threshold; structure is unstable or a mechanism")
-    # piv[i] is the row swapped with row i; piv[i] == i means no swap
-    flips = np.count_nonzero(diagonal < 0) + np.count_nonzero(
-        piv != np.arange(piv.size))
-    return lu_solve((lu, piv), rhs, check_finite=False), 1 - 2 * (flips % 2)
+    x, _ = dsytrs(ldu, ipiv, rhs, lower=1)
+    return x, np.count_nonzero(eigenvalues < 0)

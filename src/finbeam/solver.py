@@ -5,9 +5,9 @@ takes a tangent predictor step and then full-Newton corrector iterations
 (tangent reassembled from the current trial state every iteration) until
 the force residual norm over the free DOFs drops below the tolerance.
 The path ends at its first instability: Newton failure, a snap, or a
-converged tangent whose determinant sign, read from the next predictor's
-LU, turns negative. Such an end is reported as data, not raised, so design
-sweeps and maximum-force probes can observe failures gracefully.
+negative eigenvalue of a converged tangent, counted exactly from the next
+predictor's factorization. Such an end is reported as data, not raised, so
+design sweeps and maximum-force probes can observe failures gracefully.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ def solve(
     increment ``diverged_at`` on: a singular tangent or a degenerate
     element, a non-finite residual or no convergence in increment n; a
     snap, when n's displacement step along the load exceeds
-    SNAP_JUMP_RATIO times the previous one ("snap", at n); or a negative
-    det K_s in n's predictor LU, i.e. an odd number of negative
-    eigenvalues at the state converged in n - 1 ("indefinite", at n - 1).
-    The sign costs no extra factorization. The unloaded state and the last
-    converged state have no predictor to audit them and go unchecked.
+    SNAP_JUMP_RATIO times the previous one ("snap", at n); or any negative
+    eigenvalue of K_s, counted exactly from n's predictor factorization, at
+    the state converged in n - 1 ("indefinite", at n - 1). The count costs
+    no extra factorization. The unloaded state and the last converged
+    state have no predictor to audit them and go unchecked.
 
     Raises ModelError when the load fails make_load_case's check: a wrong
     shape, a non-finite entry or a force on a fixed DOF.
@@ -156,8 +156,8 @@ def solve(
         try:
             k_s = apply_supports(assemble_tangent(structure, states),
                                  structure.supports)
-            du, det_sign = solve_linear(k_s, d_f)
-            if det_sign < 0 and records:
+            du, negative = solve_linear(k_s, d_f)
+            if negative > 0 and records:
                 log.info("increment %d converged to an indefinite tangent",
                          n - 1)
                 return SolveResult(records[:-1], "indefinite")

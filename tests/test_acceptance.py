@@ -8,11 +8,16 @@ fingers, so collapse loads are only meaningful with the tangential part.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finbeam
 from finbeam import (
     BracketInvalid,
     Element,
@@ -339,6 +344,21 @@ def test_criterion_7_convergence_efficiency():
           f"(worst mean corrector iterations {worst:.2f})")
 
 
+def _probe_sweep_bytes(spec_file, out_dir, blas_threads):
+    """CSV and summary bytes of ``finbeam sweep --probe-max-force`` run in a
+    fresh interpreter with the given OpenBLAS thread count."""
+    src = str(Path(finbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_dir.mkdir()
+    out = out_dir / "report.csv"
+    subprocess.run([sys.executable, "-m", "finbeam", "sweep", str(spec_file),
+                    str(out), "--probe-max-force"],
+                   env=env, check=True, timeout=300)
+    return out.read_bytes(), (out_dir / "report.summary.json").read_bytes()
+
+
 def test_criterion_8_determinism(tmp_path):
     import json
 
@@ -359,4 +379,17 @@ def test_criterion_8_determinism(tmp_path):
                          str(out), "--n-inc", "10"]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    print("\nACCEPTANCE 8 (determinism): PASS (byte-identical CSV)")
+
+    # the same sweep and probes under 1 and 2 BLAS threads
+    spec_file = tmp_path / "sweep.json"
+    spec_file.write_text(json.dumps({
+        "axis": "n_crossbeams", "values": [2, 3, 4, 5],
+        "load_magnitudes": [0.2, 0.4, 0.6],
+        "load_direction": list(CONTACT_DIR),
+    }))
+    one, two = (_probe_sweep_bytes(spec_file, tmp_path / f"threads{n}", n)
+                for n in (1, 2))
+    assert one[0] == two[0]
+    assert one[1] == two[1]
+    print("\nACCEPTANCE 8 (determinism): PASS (byte-identical CSV; "
+          "sweep files identical at 1 and 2 BLAS threads)")

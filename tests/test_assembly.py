@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dsytrf
 
 from finbeam import (
     KIND_BEAM,
@@ -148,9 +148,9 @@ class TestSolveLinear:
     def test_identity(self):
         rhs = np.zeros(4)
         rhs[2] = 1.0
-        x, det_sign = solve_linear(np.eye(4), rhs)
+        x, negative = solve_linear(np.eye(4), rhs)
         assert np.allclose(x, rhs, atol=1e-15)
-        assert det_sign == 1
+        assert negative == 0
 
     def test_cantilever_tip_deflection_first_solve(self):
         length = 0.5
@@ -161,8 +161,8 @@ class TestSolveLinear:
         f = np.zeros(6)
         load = 0.05
         f[4] = load
-        x, det_sign = solve_linear(k_s, f)
-        assert det_sign == 1
+        x, negative = solve_linear(k_s, f)
+        assert negative == 0
         assert x[4] == pytest.approx(load * length**3 / (3 * E_MOD * INERTIA),
                                      rel=1e-10)
         assert x[5] == pytest.approx(load * length**2 / (2 * E_MOD * INERTIA),
@@ -177,31 +177,33 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(k, np.zeros(6))
 
-    def test_determinant_sign_of_a_pure_row_swap(self):
-        # U has a positive diagonal; the sign comes from the swap alone
-        x, det_sign = solve_linear(np.array([[0.0, 1.0], [1.0, 0.0]]),
+    def test_negative_count_of_a_pure_row_swap(self):
+        # eigenvalues +1 and -1, held in one 2x2 block with zero diagonal
+        x, negative = solve_linear(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                    np.array([2.0, 3.0]))
         assert np.array_equal(x, [3.0, 2.0])
-        assert det_sign == -1
+        assert negative == 1
 
-    @pytest.mark.parametrize("n_negative", [0, 1, 2])
-    def test_determinant_sign_matches_negative_eigenvalue_parity(
-            self, rng, n_negative):
-        n = 8
-        swapped = 0
+    @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
+    def test_negative_count_matches_eigenvalues(self, rng, n_negative):
+        n = 30
+        blocks = 0
         for _ in range(20):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             spectrum = rng.uniform(0.1, 10.0, n)
             spectrum[:n_negative] *= -1.0
             k = (q * spectrum) @ q.T
             k = 0.5 * (k + k.T)
-            negative = np.count_nonzero(np.linalg.eigvalsh(k) < 0.0)
-            assert negative == n_negative
-            _, det_sign = solve_linear(k, np.ones(n))
-            assert det_sign == (-1) ** negative
-            swapped += np.any(lu_factor(k)[1] != np.arange(n))
-        # partial pivoting reordered the rows of some of these matrices
-        assert swapped > 0
+            expected = np.count_nonzero(np.linalg.eigvalsh(k) < 0.0)
+            assert expected == n_negative
+            x, negative = solve_linear(k, np.ones(n))
+            assert negative == expected
+            assert np.allclose(k @ x, 1.0, atol=1e-10)
+            blocks += np.any(dsytrf(k, lower=1)[1] < 0)
+        # Bunch-Kaufman pivoting chose a 2x2 block for some of the
+        # indefinite matrices; such a block is indefinite itself, so a
+        # positive definite matrix never gets one
+        assert (blocks > 0) == (n_negative > 0)
 
 
 def test_global_tangent_matches_finite_differences(rng):

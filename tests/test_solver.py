@@ -258,9 +258,9 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     exact = finbeam.solver.solve_linear
 
     def infinite_rotation_step(k_s, rhs):
-        step, det_sign = exact(k_s, rhs)
+        step, negative = exact(k_s, rhs)
         step[2::3] = np.inf
-        return step, det_sign
+        return step, negative
 
     monkeypatch.setattr(finbeam.solver, "solve_linear",
                         infinite_rotation_step)
@@ -292,7 +292,7 @@ def test_probe_reports_first_limit_point_for_top_angle_30():
 def test_euler_column_ends_at_critical_load(make_cantilever):
     # clamped-free column under axial tip compression buckles at
     # P_cr = pi^2 EI / (4 L^2); the perfect column stays straight, so only
-    # the tangent's determinant sign can show the bifurcation
+    # the tangent's negative-eigenvalue count can show the bifurcation
     s = make_cantilever(16, length=FINGER_HEIGHT)
     p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
     pattern = np.zeros(s.n_dof)
@@ -310,13 +310,29 @@ def test_euler_column_ends_at_critical_load(make_cantilever):
     assert not path_is_stable(result)
 
 
+def test_column_far_past_buckling_ends_indefinite(make_cantilever):
+    # at 10 P_cr the straight column's tangent has two negative
+    # eigenvalues: an even count, which a determinant sign cannot see
+    s = make_cantilever(16, length=FINGER_HEIGHT)
+    p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(16, "u")] = -1.0
+    result = solve(s, make_load_case(s, 20.0 * p_cr * pattern),
+                   SolverConfig(n_inc=2))
+    assert result.cause == "indefinite"
+    assert result.diverged_at == 1
+    assert result.increments == []
+
+
 def test_path_stops_at_first_snap():
     # the probe's path for the two-crossbeam study finger; force control
-    # used to run on to 4 N after snapping at increment 15
+    # used to run on to 4 N after snapping at increment 15. Whether that
+    # increment ends as "snap" or "no convergence" is decided by roundoff
+    # in a long Newton wander, so only the stop is asserted.
     model = generate(FinRayParams(n_crossbeams=2))
     case = load_at_contact_node(model, 2, 4.0, direction=STUDY_DIRECTION)
     result = solve(model.structure, case, SolverConfig(n_inc=80))
-    assert result.cause == "snap"
+    assert not result.completed
     assert result.diverged_at == 15
     assert len(result.increments) == 14
 
