@@ -2,9 +2,12 @@
 
 Element kinematics, local forces and tangents are evaluated as arrays over
 all elements at once; the scalar kernels in ``corotational`` are the
-per-element reference they are tested against. Fin-Ray scale models have
-at most a few hundred DOFs, so the global matrix is kept dense and
-factorised directly as L D L^T, whose inertia is the stability audit.
+per-element reference they are tested against. ``update_member_data``
+computes each displacement state's kinematics (r, z and B) and local forces
+once, into an ``ElementState``; ``assemble_tangent`` reads that state and
+recomputes no geometry. Fin-Ray scale models have at most a few hundred
+DOFs, so the global matrix is kept dense and factorised directly as
+L D L^T, whose inertia is the stability audit.
 """
 
 from __future__ import annotations
@@ -36,34 +39,45 @@ class SingularMatrix(RuntimeError):
 
 @dataclass(frozen=True)
 class ElementState:
-    """Geometry and local forces of every element at one displacement state.
+    """Kinematics and local forces of every element at one displacement state.
 
-    Each field is an (n_elements,) array in element order: the current
-    chord length and direction cosines, and the local forces [N, M1, M2].
+    ``update_member_data`` builds it once per state; ``assemble_tangent``
+    reads it without recomputing any geometry. In element order:
+
+    - ``length``, ``n_axial``, ``m1``, ``m2``: (n_elements,) arrays of the
+      current chord length and the local forces [N, M1, M2];
+    - ``r``, ``z``: (n_elements, 6) axial direction vectors
+      r = [-c, -s, 0, c, s, 0] and their perpendiculars
+      z = [s, -c, 0, -s, c, 0], with (c, s) the chord's direction cosines;
+    - ``b``: (n_elements, 3, 6) matrices B = [r; e3 - z/L; e6 - z/L] that
+      map global increments to local ones (see
+      corotational.transformation_matrix).
     """
 
     length: np.ndarray
-    cos_beta: np.ndarray
-    sin_beta: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
+    b: np.ndarray
     n_axial: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
 
 
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi], exactly as corotational.wrap_angle.
+    """Wrap angles into (-pi, pi] in place, exactly as
+    corotational.wrap_angle, and return them.
 
     fmod is exact, and so is the single shift by tau that follows (the
     operands are within a factor of two of each other).
     """
-    wrapped = np.fmod(angles, math.tau)
-    wrapped = np.where(wrapped > math.pi, wrapped - math.tau, wrapped)
-    return np.where(wrapped <= -math.pi, wrapped + math.tau, wrapped)
+    np.fmod(angles, math.tau, out=angles)
+    angles[angles > math.pi] -= math.tau
+    angles[angles <= -math.pi] += math.tau
+    return angles
 
 
 # The axial direction vector r = [-c, -s, 0, c, s, 0] and its perpendicular
-# z = [s, -c, 0, -s, c, 0] as linear maps of (c, s) = (cos beta, sin beta);
-# entries of 0 and +-1 keep the products exact.
+# z = [s, -c, 0, -s, c, 0] as linear maps of (c, s) = (cos beta, sin beta).
 _R_OF_CS = np.array([[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                      [0.0, -1.0, 0.0, 0.0, 1.0, 0.0]])
 _Z_OF_CS = np.array([[0.0, -1.0, 0.0, 0.0, 1.0, 0.0],
@@ -72,59 +86,59 @@ _Z_OF_CS = np.array([[0.0, -1.0, 0.0, 0.0, 1.0, 0.0],
 _B_ROTATIONS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                          [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-
-
-def _element_vectors(
-    state: ElementState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r and z as (n_elements, 6) arrays, and the (n_elements, 3, 6)
-    matrices B = [r; e3 - z/L; e6 - z/L] mapping global increments to
-    local ones (see corotational.transformation_matrix)."""
-    cs = np.stack([state.cos_beta, state.sin_beta], axis=1)
-    r = cs @ _R_OF_CS
-    z = cs @ _Z_OF_CS
-    w = -z / state.length[:, None]
-    return r, z, np.stack([r, w, w], axis=1) + _B_ROTATIONS
+# [z | B] with B = [r; w; w] flattened and w = -z/L, as one linear map of
+# (c, s, c/L, s/L) plus the constant rotation entries. Entries of 0 and +-1
+# keep the product exact.
+_ZERO = np.zeros((2, 6))
+_KINEMATICS = np.block([[_Z_OF_CS, _R_OF_CS, _ZERO, _ZERO],
+                        [_ZERO, _ZERO, -_Z_OF_CS, -_Z_OF_CS]])
+_KINEMATICS_CONSTANT = np.concatenate([np.zeros(6), _B_ROTATIONS.ravel()])
 
 
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
 ) -> tuple[ElementState, np.ndarray]:
-    """Refresh every element's geometry/local forces and assemble F_int.
+    """Refresh every element's kinematics/local forces and assemble F_int.
 
     Gathers all elements' six DOFs at once, computes the chord geometry,
-    the wrapped local end rotations and the local forces as arrays, and
-    scatter-adds the global internal forces B^T [N, M1, M2] in element
-    order. A non-finite displacement yields a non-finite F_int rather than
-    an exception, so the solver can end the solve as diverged.
+    r, z and B, the wrapped local end rotations and the local forces as
+    arrays, and scatter-adds the global internal forces B^T [N, M1, M2] in
+    element order. A non-finite displacement yields a non-finite F_int
+    rather than an exception, so the solver can end the solve as diverged.
     """
     p = displacement[structure.element_dofs]
     l0 = structure.element_l0
+    n_el = len(l0)
     with np.errstate(invalid="ignore", over="ignore"):
         chord = structure.element_chord0 + (p[:, 3:5] - p[:, 0:2])
         length = np.hypot(chord[:, 0], chord[:, 1])
-        degenerate = np.flatnonzero(length <= 1e-14 * l0)
-        if degenerate.size:
-            index = degenerate[0]
+        degenerate = length <= 1e-14 * l0
+        if degenerate.any():
+            index = np.flatnonzero(degenerate)[0]
             raise DegenerateElement(
                 f"element {index}: displaced nodes coincide (length "
                 f"{length[index]:.3e} from l0 {l0[index]:.3e})")
-        cos_beta = chord[:, 0] / length
-        sin_beta = chord[:, 1] / length
-        beta = np.arctan2(sin_beta, cos_beta)
+        # (c, s, c/L, s/L)
+        cs = np.empty((n_el, 4))
+        np.divide(chord, length[:, None], out=cs[:, :2])
+        np.divide(cs[:, :2], length[:, None], out=cs[:, 2:])
+        kinematics = cs @ _KINEMATICS
+        kinematics += _KINEMATICS_CONSTANT
+        z = kinematics[:, :6]
+        b = kinematics[:, 6:].reshape(n_el, 3, 6)
+        beta = np.arctan2(cs[:, 1], cs[:, 0])
 
-        local = np.empty((len(l0), 3, 1))
+        local = np.empty((n_el, 3, 1))
         local[:, 0, 0] = length - l0
         local[:, 1:, 0] = _wrap_angles(
             p[:, 2::3] + (structure.element_beta0 - beta)[:, None])
         forces = (structure.element_stiffness @ local)[:, :, 0]
-        state = ElementState(length, cos_beta, sin_beta,
-                             forces[:, 0], forces[:, 1], forces[:, 2])
-        _, _, b = _element_vectors(state)
         q = (forces[:, None, :] @ b)[:, 0, :]
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
                         minlength=structure.n_dof)
+    state = ElementState(length, b[:, 0, :], z, b,
+                         forces[:, 0], forces[:, 1], forces[:, 2])
     return state, f_int
 
 
@@ -140,12 +154,14 @@ def assemble_tangent(
     corotational.element_tangent_stiffness) and scatter-added in element
     order, so the summation order and the result are deterministic.
     """
-    r, z, b = _element_vectors(state)
+    r, z, b = state.r, state.z, state.b
     k_el = b.transpose(0, 2, 1) @ (structure.element_stiffness @ b)
     length = state.length
-    rz = r[:, :, None] * z[:, None, :]
+    # one-term matmuls form the outer products exactly, and faster than
+    # broadcasting does
+    rz = r[:, :, None] @ z[:, None, :]
     k_el += (state.n_axial / length)[:, None, None] * (
-        z[:, :, None] * z[:, None, :])
+        z[:, :, None] @ z[:, None, :])
     k_el += ((state.m1 + state.m2) / length**2)[:, None, None] * (
         rz + rz.transpose(0, 2, 1))
     n = structure.n_dof
@@ -179,11 +195,14 @@ def solve_linear(k_s: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     of the largest, which signals a mechanism or structural instability.
     """
     ldu, ipiv, info = dsytrf(k_s, lower=1)
+    eigenvalues = np.diagonal(ldu)
     # ipiv[k] == ipiv[k + 1] < 0 marks a 2x2 block of D in rows k and k + 1
-    eigenvalues = np.diag(ldu).copy()
-    blocks = np.flatnonzero(ipiv < 0).reshape(-1, 2)
-    eigenvalues[blocks] = np.linalg.eigvalsh(
-        ldu[blocks[:, :, None], blocks[:, None, :]])
+    two_by_two = ipiv < 0
+    if two_by_two.any():
+        eigenvalues = eigenvalues.copy()
+        blocks = np.flatnonzero(two_by_two).reshape(-1, 2)
+        eigenvalues[blocks] = np.linalg.eigvalsh(
+            ldu[blocks[:, :, None], blocks[:, None, :]])
     pivots = np.abs(eigenvalues)
     largest = pivots.max() if pivots.size else 0.0
     if info > 0 or largest == 0.0 or (

@@ -44,8 +44,8 @@ class BracketInvalid(ValueError):
 class SolverConfig:
     """Stepping and convergence controls.
 
-    tolerance is the force-residual norm threshold in Newtons; maxiter
-    bounds the corrector iterations per increment.
+    tolerance is the force-residual norm threshold in Newtons, finite and
+    positive; maxiter bounds the corrector iterations per increment.
     """
 
     n_inc: int = 10
@@ -55,8 +55,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_inc < 1:
             raise ValueError("n_inc must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # a NaN or infinite tolerance would accept any residual unchecked
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
 
@@ -226,9 +227,13 @@ def probe_max_force(
     returns the load of its last recorded increment, a multiple of the
     step ``f_hi / n_inc``. Raises BracketInvalid when f_lo >= f_hi, when
     the whole path to f_hi completes ("still holds at f_hi") and when the
-    returned force would fall below f_lo ("already collapses at f_lo").
+    returned force would fall below f_lo ("already collapses at f_lo"),
+    and ValueError when f_lo, f_hi or resolution is not finite.
     Deterministic for fixed inputs.
     """
+    if not all(map(math.isfinite, (f_lo, f_hi, resolution))):
+        raise ValueError("f_lo, f_hi and resolution must be finite, got "
+                         f"{f_lo}, {f_hi} and {resolution}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if not 0 <= f_lo < f_hi:

@@ -43,15 +43,19 @@ def elastica_cantilever_tip(alpha):
 
 
 def central_difference_jacobian(func, x, step):
-    """Central-difference Jacobian of a vector-valued function at x."""
+    """Central-difference Jacobian of a vector-valued function at x.
+
+    step is one step for every coordinate or an array of one per coordinate.
+    """
     x = np.asarray(x, dtype=float)
+    steps = np.broadcast_to(np.asarray(step, dtype=float), x.shape)
     columns = []
     for j in range(x.size):
         dx = np.zeros_like(x)
-        dx[j] = step
+        dx[j] = steps[j]
         f_plus = np.asarray(func(x + dx), dtype=float)
         f_minus = np.asarray(func(x - dx), dtype=float)
-        columns.append((f_plus - f_minus) / (2.0 * step))
+        columns.append((f_plus - f_minus) / (2.0 * steps[j]))
     return np.column_stack(columns)
 
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dsytrf
 
 from finbeam import (
-    KIND_BEAM,
-    KIND_PIN,
     DegenerateElement,
     ElementProps,
     FinRayParams,
@@ -30,6 +28,7 @@ from finbeam import (
 from conftest import AREA, E_MOD, INERTIA
 
 from oracles import central_difference_jacobian, linear_frame_stiffness
+from strategies import small_frames
 
 FIXED = (True, True, True)
 
@@ -268,25 +267,6 @@ def test_batched_kernels_match_scalar_reference(params, rng):
         assert np.abs(k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
 
 
-@st.composite
-def small_frames(draw):
-    """Tree-connected frames of 2 to 6 elements, mixing beam and pin-ended
-    elements, with every element at least 0.1 m long, clamped at node 0."""
-    n_elements = draw(st.integers(2, 6))
-    coordinate = st.floats(-1.0, 1.0)
-    nodes = [(0, 0.0, 0.0)]
-    specs = []
-    for j in range(1, n_elements + 1):
-        i = draw(st.integers(0, j - 1))
-        x, y = draw(st.tuples(coordinate, coordinate).filter(
-            lambda q: math.hypot(q[0] - nodes[i][1], q[1] - nodes[i][2])
-            >= 0.1))
-        nodes.append((j, x, y))
-        kind = draw(st.sampled_from([KIND_BEAM, KIND_PIN]))
-        specs.append((i, j, ElementProps(E_MOD, AREA, INERTIA, kind)))
-    return build_structure(nodes, specs, {0: FIXED})
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(structure=small_frames(),
        angle=st.floats(-7.0, 7.0),
@@ -303,3 +283,31 @@ def test_rigid_motion_is_force_free_and_tangent_symmetric(
     u += np.random.default_rng(seed).uniform(-0.01, 0.01, size=u.size)
     k = assemble_tangent(structure, update_member_data(structure, u)[0])
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(structure=small_frames(),
+       angle=st.floats(-7.0, 7.0),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_tangent_matches_finite_differences_on_random_frames(
+        structure, angle, shift, seed):
+    # a rigid motion of any size plus a deformation that stretches and bends
+    # every element, so the geometric terms of K are present
+    u = rigid_motion(structure, angle, np.array(shift))
+    u += np.random.default_rng(seed).uniform(
+        [-1e-3, -1e-3, -0.05], [1e-3, 1e-3, 0.05],
+        size=(len(structure.nodes), 3)).ravel()
+    k = assemble_tangent(structure, update_member_data(structure, u)[0])
+    # F_int is linear in the nodal rotations, so their columns take a large
+    # step, free of truncation error and far above F_int's roundoff
+    translation = np.ones(structure.n_dof, dtype=bool)
+    translation[2::3] = False
+    k_fd = central_difference_jacobian(
+        lambda x: update_member_data(structure, x)[1], u,
+        np.where(translation, 1e-6, 1e-3))
+    # translation and rotation columns each at their own scale, so the
+    # bending entries are not hidden under the axial stiffness
+    for columns in (translation, ~translation):
+        error = np.abs(k - k_fd)[:, columns].max()
+        assert error <= 1e-7 * np.abs(k[:, columns]).max()

@@ -132,6 +132,17 @@ class TestSolve:
         assert {int(r["increment"]) for r in read_csv(out)} == set(
             range(1, 11))
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, structure_file,
+                                          tolerance):
+        doc = json.loads(open(structure_file).read())
+        load = write_json(tmp_path / "load.json",
+                          {"forces": [{"node": doc["contact_nodes"][1],
+                                       "fx": 3.0}]})
+        code = main(["solve", structure_file, load, str(tmp_path / "r.csv"),
+                     "--tolerance", tolerance])
+        assert code == 2
+
     def test_load_on_support_exits_2(self, tmp_path, structure_file):
         load = write_json(tmp_path / "load.json",
                           {"forces": [{"node": 0, "fx": 1.0}]})
@@ -197,6 +208,17 @@ class TestSweep:
                           {"axis": "colour", "values": [1],
                            "load_magnitudes": [0.1]})
         assert main(["sweep", spec, str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("probe", [
+        {"f_hi": math.inf}, {"resolution": math.nan}])
+    def test_non_finite_probe_exits_2(self, tmp_path, probe):
+        data = sweep_spec(values=(3,))
+        data["probe"].update(probe)
+        # json writes these as the non-standard Infinity and NaN, which
+        # json.load reads back
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = str(tmp_path / "r.csv")
+        assert main(["sweep", spec, out, "--probe-max-force"]) == 2
 
     def test_descending_magnitudes_exit_2(self, tmp_path):
         data = sweep_spec()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finbeam.solver
 from finbeam import (
+    KIND_BEAM,
     BracketInvalid,
     ElementProps,
     FinRayParams,
@@ -26,6 +29,7 @@ from finbeam import (
 from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA
 
 from oracles import elastica_cantilever_tip
+from strategies import small_frames
 
 FIXED = (True, True, True)
 # Design-study loading: inward normal rotated 40 degrees to the base.
@@ -61,7 +65,8 @@ class TestSolverConfig:
         assert cfg.maxiter == 100
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_inc": 0}, {"tolerance": 0.0}, {"maxiter": 0},
+        {"n_inc": 0}, {"tolerance": 0.0}, {"tolerance": math.nan},
+        {"tolerance": math.inf}, {"maxiter": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -193,6 +198,20 @@ def test_probe_matches_von_mises_limit():
     again = probe_max_force(s, pattern, cfg, 0.1 * limit, 2.0 * limit,
                             resolution)
     assert found == again
+
+
+@pytest.mark.parametrize("bracket", [
+    (math.nan, 0.5, 0.01), (0.01, math.inf, 0.01), (0.01, 0.5, math.nan),
+    (-math.inf, 0.5, 0.01), (0.01, 0.5, math.inf),
+])
+def test_probe_rejects_non_finite_bracket(make_cantilever, bracket):
+    s = make_cantilever(4)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(4, "w")] = 1.0
+    with pytest.raises(ValueError, match="finite") as excinfo:
+        probe_max_force(s, pattern, SolverConfig(n_inc=5), *bracket)
+    # a sweep logs BracketInvalid and goes on; invalid input must stop it
+    assert not isinstance(excinfo.value, BracketInvalid)
 
 
 def test_probe_bracket_invalid_when_structure_holds(make_cantilever):
@@ -341,3 +360,32 @@ def _apex_load(structure, magnitude):
     f = np.zeros(structure.n_dof)
     f[structure.dof_index(1, "w")] = -magnitude
     return f
+
+
+# overflow is what the largest loads are for
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(structure=small_frames(kinds=(KIND_BEAM,)),
+       node=st.integers(1, 6),
+       direction=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                           st.floats(-1.0, 1.0)),
+       log_magnitude=st.one_of(st.floats(-3.0, 4.0),
+                               st.floats(300.0, 307.0)),
+       n_inc=st.integers(1, 5))
+def test_never_completed_with_a_non_finite_state(
+        structure, node, direction, log_magnitude, n_inc):
+    # frames of beams only, which form no mechanism, under loads from well
+    # inside the elastic range to far past any collapse, and loads so large
+    # that F_int overflows
+    node = min(node, len(structure.nodes) - 1)
+    case = load_case(structure, {node: 10.0**log_magnitude
+                                 * np.array(direction)})
+    config = SolverConfig(n_inc=n_inc, maxiter=30)
+    result = solve(structure, case, config)
+    for record in result.increments:
+        assert np.all(np.isfinite(record.displacement))
+        assert math.isfinite(record.residual_norm)
+    if result.completed:
+        _, f_int = update_member_data(structure, result.final_displacement)
+        _, r_norm = residual(f_int, case.f_total, structure.supports)
+        assert r_norm <= config.tolerance
