@@ -24,6 +24,7 @@ from .model import (
     DuplicateNode,
     Element,
     ElementProps,
+    FreeBand,
     LoadCase,
     ModelError,
     Node,
@@ -84,7 +85,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # model
-    "Node", "ElementProps", "Element", "SupportSet", "Structure", "LoadCase",
+    "Node", "ElementProps", "Element", "SupportSet", "FreeBand", "Structure",
+    "LoadCase",
     "build_structure", "load_case", "make_load_case",
     "structure_to_dict", "structure_from_dict",
     "COMPONENTS", "KIND_BEAM", "KIND_PIN",

@@ -6,8 +6,9 @@ per-element reference they are tested against. ``update_member_data``
 computes each displacement state's kinematics (r, z and B) and local forces
 once, into an ``ElementState``; ``assemble_tangent`` reads that state and
 recomputes no geometry. Fin-Ray scale models have at most a few hundred
-DOFs, so the global matrix is kept dense and factorised directly as
-L D L^T, whose inertia is the stability audit.
+DOFs, so K is assembled dense. Only its free-DOF block is factorised, as a
+band in reverse Cuthill-McKee order: by Cholesky when it is positive
+definite, otherwise as L D L^T, whose exact inertia is the stability audit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrs
 
 # current_geometry and element_tangent_stiffness are not called here; they
 # stay importable from this module because bench/tracer.py counts calls to
@@ -26,15 +27,18 @@ from .corotational import (  # noqa: F401
     current_geometry,
     element_tangent_stiffness,
 )
-from .model import Structure, SupportSet
+from .model import FreeBand, Structure
 
 # Pivots below this fraction of the largest pivot flag a mechanism or a
 # buckled (singular) configuration rather than roundoff.
 SINGULAR_PIVOT_RATIO = 1e-12
+# The same bound on the Cholesky factor's diagonal L_jj, whose squares are
+# the pivots; comparing L_jj itself cannot overflow.
+_SINGULAR_CHOLESKY_RATIO = math.sqrt(SINGULAR_PIVOT_RATIO)
 
 
 class SingularMatrix(RuntimeError):
-    """The support-modified tangent is singular: mechanism or instability."""
+    """The free-DOF tangent is singular: mechanism or instability."""
 
 
 @dataclass(frozen=True)
@@ -162,39 +166,56 @@ def assemble_tangent(
     rz = r[:, :, None] @ z[:, None, :]
     k_el += (state.n_axial / length)[:, None, None] * (
         z[:, :, None] @ z[:, None, :])
-    k_el += ((state.m1 + state.m2) / length**2)[:, None, None] * (
-        rz + rz.transpose(0, 2, 1))
+    # a far overstretched element's L^2 overflows; its moment term is then 0
+    with np.errstate(over="ignore"):
+        bending = (state.m1 + state.m2) / length**2
+    k_el += bending[:, None, None] * (rz + rz.transpose(0, 2, 1))
     n = structure.n_dof
     return np.bincount(structure.element_scatter, weights=k_el.ravel(),
                        minlength=n * n).reshape(n, n)
 
 
-def apply_supports(k: np.ndarray, supports: SupportSet) -> np.ndarray:
-    """Row/column elimination for fixed DOFs.
+def apply_supports(k: np.ndarray, band: FreeBand) -> np.ndarray:
+    """The free-DOF block of K as a lower band in band order.
 
-    Constrained rows and columns are zeroed and the diagonal entry set to 1,
-    which keeps the system invertible while forcing zero increments at the
-    supports. Unconstrained entries are untouched.
+    One gather through ``band.gather`` (see FreeBand): the fixed DOFs'
+    rows and columns are left out, so supports need no zero-and-one rows,
+    and the result is ready for LAPACK's band routines.
     """
-    k_s = k.copy()
-    dofs = supports.dofs
-    k_s[dofs, :] = 0.0
-    k_s[:, dofs] = 0.0
-    k_s[dofs, dofs] = 1.0
-    return k_s
+    return k.ravel()[band.gather]
 
 
-def solve_linear(k_s: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Direct dense solve of the symmetric system K_s x = rhs.
+def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Direct solve of the symmetric system K x = rhs, K held as a band.
 
-    Returns x and the number of negative eigenvalues of K_s, which by
-    Sylvester's law of inertia equals that of the block-diagonal D from
-    Bunch-Kaufman pivoting (LAPACK dsytrf); each 2x2 block of D has a
-    negative determinant and so one eigenvalue of each sign. Raises
-    SingularMatrix when an eigenvalue of D falls below SINGULAR_PIVOT_RATIO
-    of the largest, which signals a mechanism or structural instability.
+    ``band`` is K in LAPACK's lower band storage, (bandwidth + 1, n) with
+    band[r, j] = K[j + r, j]; the slots with j + r >= n are not read.
+    Returns x and the number of negative eigenvalues of K.
+
+    K is first factorised by banded Cholesky (LAPACK dpbtrf) and solved
+    with dpbtrs when that succeeds and every pivot L_jj^2 is at least
+    SINGULAR_PIVOT_RATIO of the largest: K is then positive definite, with
+    no negative eigenvalue. Any other K (indefinite, near singular or not
+    finite) is expanded to its dense lower triangle and factorised as
+    L D L^T with Bunch-Kaufman pivoting (LAPACK dsytrf). The count is then
+    that of the block-diagonal D, by Sylvester's law of inertia; each 2x2
+    block of D has a negative determinant and so one eigenvalue of each
+    sign. Raises SingularMatrix when an eigenvalue of D falls below
+    SINGULAR_PIVOT_RATIO of the largest, which signals a mechanism or
+    structural instability.
     """
-    ldu, ipiv, info = dsytrf(k_s, lower=1)
+    factor, info = dpbtrf(band, lower=1)
+    diagonal = factor[0]
+    if info == 0 and np.all(diagonal >= _SINGULAR_CHOLESKY_RATIO
+                            * diagonal.max(initial=0.0)):
+        return dpbtrs(factor, rhs, lower=1)[0], 0
+
+    offset, column = np.indices(band.shape)
+    row = offset + column
+    inside = row < band.shape[1]
+    lower = np.zeros((band.shape[1], band.shape[1]))
+    lower[row[inside], column[inside]] = band[inside]
+    ldu, ipiv, info = dsytrf(lower, lower=1)
     eigenvalues = np.diagonal(ldu)
     # ipiv[k] == ipiv[k + 1] < 0 marks a 2x2 block of D in rows k and k + 1
     two_by_two = ipiv < 0

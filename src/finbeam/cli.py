@@ -177,14 +177,30 @@ def _parse_sweep_spec(data) -> SweepSpec:
         raise InputError("load_magnitudes must be positive and ascending")
     rank = int(data.get("load_node_rank", 2))
     base = params_from_dict(data.get("base_params", {}))
-    solver_cfg = SolverConfig(**data.get("solver", {}))
+    try:
+        solver_cfg = SolverConfig(**_numbers("solver", data.get("solver", {})))
+    except TypeError as exc:   # a key SolverConfig does not have
+        raise InputError(f"solver: {exc}") from exc
     probe = dict(DEFAULT_PROBE)
-    probe.update(data.get("probe", {}))
+    probe.update(_numbers("probe", data.get("probe", {})))
     direction = data.get("load_direction")
     if direction is not None:
         direction = (float(direction[0]), float(direction[1]))
     return SweepSpec(axis, values, rank, magnitudes, base, solver_cfg, probe,
                      direction)
+
+
+def _numbers(section: str, entries) -> dict:
+    """A sweep file section whose values are all numbers, integers where
+    SolverConfig counts (n_inc, maxiter); a bool is not a number."""
+    if not isinstance(entries, dict):
+        raise InputError(f"{section} must be an object, got {entries!r}")
+    for key, value in entries.items():
+        kinds = int if key in ("n_inc", "maxiter") else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InputError(f"{section}.{key} must be a number, got "
+                             f"{value!r}")
+    return entries
 
 
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:

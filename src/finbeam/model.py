@@ -107,6 +107,31 @@ class SupportSet:
         return arr
 
 
+@dataclass(frozen=True)
+class FreeBand:
+    """The free DOFs in band order and their lower band in the dense K.
+
+    - ``order``: (n_free,) the free global DOFs, node by node in reverse
+      Cuthill-McKee order; row and column j of the band system is global
+      DOF ``order[j]``;
+    - ``gather``: (bandwidth + 1, n_free) flat indices into the
+      (n_dof * n_dof) global matrix, in LAPACK's lower band storage: slot
+      (r, j) holds K[order[j + r], order[j]]. The slots with
+      j + r >= n_free lie past the matrix, which LAPACK does not read; they
+      repeat the diagonal K[order[j], order[j]].
+
+    Both arrays are read-only; ``gather`` is Fortran-ordered, so the band
+    it gathers goes to LAPACK without a transposing copy.
+    """
+
+    order: np.ndarray
+    gather: np.ndarray
+
+    @property
+    def bandwidth(self) -> int:
+        return self.gather.shape[0] - 1
+
+
 def _read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -196,6 +221,39 @@ class Structure:
         flat.setflags(write=False)
         return flat
 
+    @cached_property
+    def free_band(self) -> FreeBand:
+        """The free DOFs in reverse Cuthill-McKee node order and the gather
+        indices of their lower band in K (see FreeBand)."""
+        free = np.ones(self.n_dof, dtype=bool)
+        free[self.supports.dofs] = False
+        has_free = free.reshape(-1, 3).any(axis=1)
+        adjacency: list[set[int]] = [set() for _ in self.nodes]
+        for e in self.elements:
+            if has_free[e.node_i] and has_free[e.node_j]:
+                adjacency[e.node_i].add(e.node_j)
+                adjacency[e.node_j].add(e.node_i)
+        nodes = _reverse_cuthill_mckee(adjacency, has_free.tolist())
+        order = np.array([dof for node in nodes
+                          for dof in range(3 * node, 3 * node + 3)
+                          if free[dof]], dtype=np.intp)
+        n_free = len(order)
+        # the band holds every coupling: the widest spread of band
+        # positions among one element's free DOFs
+        position = np.full(self.n_dof, -1, dtype=np.intp)
+        position[order] = np.arange(n_free)
+        spread = position[self.element_dofs]
+        lowest = np.where(spread >= 0, spread, n_free).min(axis=1)
+        bandwidth = int(np.max(spread.max(axis=1) - lowest, initial=0))
+
+        column = np.arange(n_free)
+        row = column + np.arange(bandwidth + 1)[:, None]
+        row = np.where(row < n_free, row, column)
+        gather = np.asfortranarray(order[row] * self.n_dof + order[column])
+        order.setflags(write=False)
+        gather.setflags(write=False)
+        return FreeBand(order, gather)
+
 
 @dataclass(frozen=True)
 class LoadCase:
@@ -279,6 +337,59 @@ def _check_connected(n_nodes: int, elements: Sequence[Element]) -> None:
     if len(seen) != n_nodes:
         missing = sorted(set(range(n_nodes)) - seen)
         raise Disconnected(f"nodes {missing} are not connected to node 0")
+
+
+def _reverse_cuthill_mckee(
+    adjacency: Sequence[set[int]],
+    included: Sequence[bool],
+) -> list[int]:
+    """The included nodes in reverse Cuthill-McKee order (Cuthill & McKee
+    1969), which keeps every edge close to the diagonal.
+
+    Each connected component is numbered breadth first from a
+    pseudo-peripheral node (George & Liu 1979), taking each node's
+    unnumbered neighbours by ascending degree, then node id; the whole
+    numbering is then reversed. ``adjacency`` must link included nodes
+    only.
+    """
+    def key(node: int) -> tuple[int, int]:
+        return len(adjacency[node]), node
+
+    numbered = [not flag for flag in included]
+    order: list[int] = []
+    for root in sorted(range(len(adjacency)), key=key):
+        if numbered[root]:
+            continue
+        root = _pseudo_peripheral(adjacency, root, key)
+        numbered[root] = True
+        queue = [root]
+        for node in queue:
+            fresh = sorted((nb for nb in adjacency[node] if not numbered[nb]),
+                           key=key)
+            for nb in fresh:
+                numbered[nb] = True
+            queue.extend(fresh)
+        order.extend(queue)
+    return order[::-1]
+
+
+def _pseudo_peripheral(adjacency: Sequence[set[int]], node: int, key) -> int:
+    """A node of nearly maximal eccentricity in node's component: move to
+    the lowest-key node of the last breadth-first level until the number
+    of levels stops growing."""
+    eccentricity = -1
+    while True:
+        depth = {node: 0}
+        queue = [node]
+        for current in queue:
+            for nb in adjacency[current]:
+                if nb not in depth:
+                    depth[nb] = depth[current] + 1
+                    queue.append(nb)
+        if depth[queue[-1]] <= eccentricity:
+            return node
+        eccentricity = depth[queue[-1]]
+        node = min((v for v in queue if depth[v] == eccentricity), key=key)
 
 
 def load_case(

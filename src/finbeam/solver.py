@@ -115,7 +115,9 @@ def residual(
     """
     r = f_int - f_ext
     r[supports.dofs] = 0.0
-    return r, float(math.sqrt(r @ r))
+    # a residual beyond 1e154 N overflows to an infinite norm: non-finite
+    with np.errstate(over="ignore"):
+        return r, float(math.sqrt(r @ r))
 
 
 def solve(
@@ -126,10 +128,13 @@ def solve(
     """Trace the equilibrium path under incrementally applied load up to
     its first instability.
 
-    Per increment n: assemble the support-modified tangent at the last
-    converged state, take the predictor step du = K_s^-1 dF, then iterate
-    delta_u <- delta_u - K_s^-1 R with the tangent reassembled from the
-    current trial state, until ||R|| <= tolerance or maxiter is hit.
+    Per increment n: assemble the tangent at the last converged state and
+    gather its free-DOF band K_s, take the predictor step du = K_s^-1 dF,
+    then iterate delta_u <- delta_u - K_s^-1 R with the tangent
+    reassembled from the current trial state, until ||R|| <= tolerance or
+    maxiter is hit. Each solve runs in band order: the right-hand side's
+    free entries are gathered into it and the solution scattered back, so
+    the fixed DOFs never move.
 
     The solve ends with status "diverged", a cause and the history before
     increment ``diverged_at`` on: a singular tangent or a degenerate
@@ -146,7 +151,10 @@ def solve(
     """
     f_total = make_load_case(structure, load_case.f_total).f_total
     d_f = f_total / config.n_inc
-    direction = f_total / (np.linalg.norm(f_total) or 1.0)
+    with np.errstate(over="ignore"):
+        direction = f_total / (np.linalg.norm(f_total) or 1.0)
+    band = structure.free_band
+    order = band.order
     u = np.zeros(structure.n_dof)
     states, _ = update_member_data(structure, u)
     records: list[IncrementRecord] = []
@@ -155,14 +163,15 @@ def solve(
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
-            k_s = apply_supports(assemble_tangent(structure, states),
-                                 structure.supports)
-            du, negative = solve_linear(k_s, d_f)
+            k_s = apply_supports(assemble_tangent(structure, states), band)
+            step, negative = solve_linear(k_s, d_f[order])
             if negative > 0 and records:
                 log.info("increment %d converged to an indefinite tangent",
                          n - 1)
                 return SolveResult(records[:-1], "indefinite")
 
+            du = np.zeros(structure.n_dof)
+            du[order] = step
             u_trial = u + du
             states, f_int = update_member_data(structure, u_trial)
             r_vec, r_norm = residual(f_int, f_ext, structure.supports)
@@ -171,8 +180,8 @@ def solve(
             iterations = 0
             while r_norm > config.tolerance and iterations < config.maxiter:
                 k_s = apply_supports(assemble_tangent(structure, states),
-                                     structure.supports)
-                delta_u = delta_u - solve_linear(k_s, r_vec)[0]
+                                     band)
+                delta_u[order] -= solve_linear(k_s, r_vec[order])[0]
                 u_trial = u + du + delta_u
                 states, f_int = update_member_data(structure, u_trial)
                 r_vec, r_norm = residual(f_int, f_ext, structure.supports)

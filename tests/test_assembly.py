@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from finbeam import (
     element_tangent_stiffness,
     generate,
     global_internal_force,
+    load_at_contact_node,
     local_displacements,
     local_forces,
+    solve,
     solve_linear,
     transformation_matrix,
     update_member_data,
@@ -119,35 +122,93 @@ def test_assembled_tangent_symmetric(rng):
     assert np.allclose(k, k.T, rtol=1e-9, atol=1e-9 * np.abs(k).max())
 
 
+def lower_band(k):
+    """The whole lower triangle of a dense matrix in LAPACK's lower band
+    storage: slot (r, j) holds k[j + r, j], and the slots past the matrix
+    hold 0."""
+    n = len(k)
+    band = np.zeros((n, n))
+    for r in range(n):
+        band[r, :n - r] = np.diagonal(k, -r)
+    return band
+
+
+def band_to_lower(band):
+    """The dense lower triangle held in a lower band, ignoring the slots
+    past the matrix."""
+    n = band.shape[1]
+    lower = np.zeros((n, n))
+    for r in range(band.shape[0]):
+        lower[np.arange(r, n), np.arange(n - r)] = band[r, :n - r]
+    return lower
+
+
+def symmetric_6x6():
+    k = np.arange(36, dtype=float).reshape(6, 6)
+    return k + k.T
+
+
 class TestApplySupports:
     def test_fully_fixed_node(self):
-        k = np.arange(36, dtype=float).reshape(6, 6)
-        k = k + k.T
-        k_s = apply_supports(k, SupportSet({0: FIXED}))
-        for d in (0, 1, 2):
-            row = k_s[d].copy()
-            row[d] = 0.0
-            assert np.array_equal(row, np.zeros(6))
-            assert k_s[d, d] == 1.0
-        assert np.array_equal(k_s[3:, 3:], k[3:, 3:])
+        free = single_bar().free_band
+        # the fixed DOFs are absent from the band
+        assert sorted(free.order) == [3, 4, 5]
+        k = symmetric_6x6()
+        k_s = apply_supports(k, free)
+        assert np.array_equal(band_to_lower(k_s),
+                              np.tril(k[np.ix_(free.order, free.order)]))
 
     def test_pin_support_touches_two_dofs(self):
-        k = np.eye(6) * 7.0
-        k_s = apply_supports(k, SupportSet({0: (True, True, False)}))
-        assert k_s[0, 0] == 1.0
-        assert k_s[1, 1] == 1.0
-        assert k_s[2, 2] == 7.0
+        s = replace(single_bar(), supports=SupportSet({0: (True, True, False)}))
+        free = s.free_band
+        assert sorted(free.order) == [2, 3, 4, 5]
+        k_s = apply_supports(np.eye(6) * 7.0, free)
+        assert np.array_equal(k_s[0], np.full(4, 7.0))
 
     def test_no_supports_is_identity_operation(self):
-        k = np.arange(16, dtype=float).reshape(4, 4)
-        assert np.array_equal(apply_supports(k, SupportSet({})), k)
+        free = replace(single_bar(), supports=SupportSet({})).free_band
+        k = symmetric_6x6()
+        lower = band_to_lower(apply_supports(k, free))
+        restored = np.empty_like(k)
+        restored[np.ix_(free.order, free.order)] = (
+            lower + np.tril(lower, -1).T)
+        assert np.array_equal(restored, k)
+
+
+@pytest.mark.parametrize("params", [
+    FinRayParams(), FinRayParams(connection="simple"),
+    FinRayParams(n_crossbeams=5)], ids=["default", "simple", "crossbeams5"])
+def test_gathered_band_is_the_lower_band_of_the_free_block(params, rng):
+    # the tangent at a small random displacement of the free DOFs
+    s = generate(params).structure
+    free = s.free_band
+    u = np.zeros(s.n_dof)
+    u[free.order] = rng.uniform(-1e-4, 1e-4, size=len(free.order))
+    k = assemble_tangent(s, update_member_data(s, u)[0])
+    block = k[np.ix_(free.order, free.order)]
+    expected = np.tril(block) - np.tril(block, -free.bandwidth - 1)
+    assert np.array_equal(band_to_lower(apply_supports(k, free)), expected)
+
+
+def test_positive_definite_band_solve_matches_dense_solve(rng):
+    # the default finger's tangent at its converged 0.5 N state
+    model = generate(FinRayParams())
+    s, free = model.structure, model.structure.free_band
+    u = solve(s, load_at_contact_node(model, 2, 0.5)).final_displacement
+    k = assemble_tangent(s, update_member_data(s, u)[0])
+    block = k[np.ix_(free.order, free.order)]
+    rhs = rng.standard_normal(len(free.order))
+    x, negative = solve_linear(apply_supports(k, free), rhs)
+    assert negative == 0
+    expected = np.linalg.solve(block, rhs)
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 class TestSolveLinear:
     def test_identity(self):
         rhs = np.zeros(4)
         rhs[2] = 1.0
-        x, negative = solve_linear(np.eye(4), rhs)
+        x, negative = solve_linear(lower_band(np.eye(4)), rhs)
         assert np.allclose(x, rhs, atol=1e-15)
         assert negative == 0
 
@@ -156,11 +217,13 @@ class TestSolveLinear:
         s = build_structure([(0, 0.0, 0.0), (1, length, 0.0)],
                             [(0, 1, props())], {0: FIXED})
         states, _ = update_member_data(s, np.zeros(6))
-        k_s = apply_supports(assemble_tangent(s, states), s.supports)
+        free = s.free_band
+        k_s = apply_supports(assemble_tangent(s, states), free)
         f = np.zeros(6)
         load = 0.05
         f[4] = load
-        x, negative = solve_linear(k_s, f)
+        x = np.zeros(6)
+        x[free.order], negative = solve_linear(k_s, f[free.order])
         assert negative == 0
         assert x[4] == pytest.approx(load * length**3 / (3 * E_MOD * INERTIA),
                                      rel=1e-10)
@@ -174,12 +237,13 @@ class TestSolveLinear:
         states, _ = update_member_data(s, np.zeros(6))
         k = assemble_tangent(s, states)
         with pytest.raises(SingularMatrix):
-            solve_linear(k, np.zeros(6))
+            solve_linear(lower_band(k), np.zeros(6))
 
     def test_negative_count_of_a_pure_row_swap(self):
         # eigenvalues +1 and -1, held in one 2x2 block with zero diagonal
-        x, negative = solve_linear(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                                   np.array([2.0, 3.0]))
+        x, negative = solve_linear(
+            lower_band(np.array([[0.0, 1.0], [1.0, 0.0]])),
+            np.array([2.0, 3.0]))
         assert np.array_equal(x, [3.0, 2.0])
         assert negative == 1
 
@@ -195,7 +259,7 @@ class TestSolveLinear:
             k = 0.5 * (k + k.T)
             expected = np.count_nonzero(np.linalg.eigvalsh(k) < 0.0)
             assert expected == n_negative
-            x, negative = solve_linear(k, np.ones(n))
+            x, negative = solve_linear(lower_band(k), np.ones(n))
             assert negative == expected
             assert np.allclose(k @ x, 1.0, atol=1e-10)
             blocks += np.any(dsytrf(k, lower=1)[1] < 0)

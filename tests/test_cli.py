@@ -220,6 +220,23 @@ class TestSweep:
         out = str(tmp_path / "r.csv")
         assert main(["sweep", spec, out, "--probe-max-force"]) == 2
 
+    @pytest.mark.parametrize("solver", [
+        {"tolerance": "0.001"}, {"n_inc": True}, {"maxiter": 20.5},
+        {"n_steps": 10}])
+    def test_non_number_solver_setting_exits_2(self, tmp_path, solver):
+        data = sweep_spec(values=(3,))
+        data["solver"] = solver
+        spec = write_json(tmp_path / "sweep.json", data)
+        assert main(["sweep", spec, str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("probe", [{"f_hi": "4"}, {"resolution": False}])
+    def test_non_number_probe_setting_exits_2(self, tmp_path, probe):
+        data = sweep_spec(values=(3,))
+        data["probe"].update(probe)
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = str(tmp_path / "r.csv")
+        assert main(["sweep", spec, out, "--probe-max-force"]) == 2
+
     def test_descending_magnitudes_exit_2(self, tmp_path):
         data = sweep_spec()
         data["load_magnitudes"] = [0.4, 0.2]

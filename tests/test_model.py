@@ -9,11 +9,13 @@ from finbeam import (
     Disconnected,
     DuplicateNode,
     ElementProps,
+    FinRayParams,
     ModelError,
     SupportSet,
     UnconstrainedStructure,
     UnknownNode,
     build_structure,
+    generate,
     load_case,
     structure_from_dict,
     structure_to_dict,
@@ -187,3 +189,50 @@ def test_from_dict_rejects_malformed():
     with pytest.raises(ModelError):
         structure_from_dict({"nodes": [{"id": 0}], "elements": [],
                              "supports": []})
+
+
+# The eight design-study fingers of acceptance criterion 7.
+STUDY_FINGERS = {
+    "n_crossbeams=2": FinRayParams(n_crossbeams=2),
+    "default": FinRayParams(),
+    "n_crossbeams=4": FinRayParams(n_crossbeams=4),
+    "top_angle=30": FinRayParams(top_angle=30.0),
+    "top_angle=40": FinRayParams(top_angle=40.0),
+    "inclination=-10": FinRayParams(inclination=-10.0),
+    "inclination=+10": FinRayParams(inclination=10.0),
+    "connection=simple": FinRayParams(connection="simple"),
+}
+
+
+def split_by_a_fixed_node():
+    # the fixed middle node leaves two free parts that share no element
+    return build_structure(
+        [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0), (3, 2.0, 1.0)],
+        [(0, 1, props()), (1, 2, props()), (2, 3, props())],
+        {1: FIXED, 3: (True, True, False)})
+
+
+@pytest.mark.parametrize("structure", [
+    *(generate(p).structure for p in STUDY_FINGERS.values()),
+    split_by_a_fixed_node()], ids=[*STUDY_FINGERS, "split"])
+def test_band_order_is_a_permutation_of_the_free_dofs(structure):
+    free = structure.free_band
+    assert np.array_equal(
+        np.sort(free.order),
+        np.setdiff1d(np.arange(structure.n_dof), structure.supports.dofs))
+    assert not free.order.flags.writeable
+    assert not free.gather.flags.writeable
+
+
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_band_holds_every_element_coupling(name):
+    structure = generate(STUDY_FINGERS[name]).structure
+    free = structure.free_band
+    position = {dof: j for j, dof in enumerate(free.order.tolist())}
+    for dofs in structure.element_dofs.tolist():
+        inside = [position[d] for d in dofs if d in position]
+        assert max(inside) - min(inside) <= free.bandwidth
+    # reverse Cuthill-McKee puts the two ends of every element at most
+    # three nodes apart (two with simple connections); in node order the
+    # default finger's band is 107 wide
+    assert free.bandwidth == (8 if name == "connection=simple" else 11)

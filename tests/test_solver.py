@@ -275,15 +275,17 @@ def test_non_finite_residual_diverges(make_cantilever, monkeypatch):
 
 def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     exact = finbeam.solver.solve_linear
+    model = generate(FinRayParams())
+    # solve_linear works in band order
+    rotations = model.structure.free_band.order % 3 == 2
 
     def infinite_rotation_step(k_s, rhs):
         step, negative = exact(k_s, rhs)
-        step[2::3] = np.inf
+        step[rotations] = np.inf
         return step, negative
 
     monkeypatch.setattr(finbeam.solver, "solve_linear",
                         infinite_rotation_step)
-    model = generate(FinRayParams())
     result = solve(model.structure, load_at_contact_node(model, 2, 0.1),
                    SolverConfig(n_inc=3))
     assert result.status == "diverged"
@@ -362,8 +364,8 @@ def _apex_load(structure, magnitude):
     return f
 
 
-# overflow is what the largest loads are for
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the largest loads overflow F_int; no numpy warning may escape the solve
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(structure=small_frames(kinds=(KIND_BEAM,)),
        node=st.integers(1, 6),
