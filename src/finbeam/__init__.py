@@ -38,19 +38,8 @@ from .model import (
     structure_from_dict,
     structure_to_dict,
 )
-from .corotational import (
-    DegenerateElement,
-    ElementGeometry,
-    LocalDisplacements,
-    LocalForces,
-    current_geometry,
-    element_tangent_stiffness,
-    global_internal_force,
-    local_displacements,
-    local_forces,
-    transformation_matrix,
-)
 from .assembly import (
+    DegenerateElement,
     ElementState,
     SingularMatrix,
     apply_supports,
@@ -92,14 +81,9 @@ __all__ = [
     "COMPONENTS", "KIND_BEAM", "KIND_PIN",
     "ModelError", "DuplicateNode", "DanglingElement", "Disconnected",
     "UnconstrainedStructure", "UnknownNode",
-    # corotational
-    "ElementGeometry", "LocalDisplacements", "LocalForces",
-    "current_geometry", "local_displacements", "local_forces",
-    "transformation_matrix", "global_internal_force",
-    "element_tangent_stiffness", "DegenerateElement",
     # assembly
     "ElementState", "update_member_data", "assemble_tangent",
-    "apply_supports", "solve_linear", "SingularMatrix",
+    "apply_supports", "solve_linear", "SingularMatrix", "DegenerateElement",
     # solver
     "SolverConfig", "IncrementRecord", "SolveResult", "residual", "solve",
     "probe_max_force", "path_is_stable", "BracketInvalid",

@@ -1,14 +1,23 @@
-"""Global assembly: internal force vector, tangent stiffness, supports, solve.
+"""Co-rotational beam elements and global assembly: internal force vector,
+tangent stiffness, supports, solve.
 
-Element kinematics, local forces and tangents are evaluated as arrays over
-all elements at once; the scalar kernels in ``corotational`` are the
-per-element reference they are tested against. ``update_member_data``
-computes each displacement state's kinematics (r, z and B) and local forces
-once, into an ``ElementState``; ``assemble_tangent`` reads that state and
-recomputes no geometry. Fin-Ray scale models have at most a few hundred
-DOFs, so K is assembled dense. Only its free-DOF block is factorised, as a
-band in reverse Cuthill-McKee order: by Cholesky when it is positive
-definite, otherwise as L D L^T, whose exact inertia is the stability audit.
+The motion of each two-node element is split into a rigid rotation of a
+local frame that follows the element chord, plus small local deformations
+measured in that frame: an axial stretch u_l and two end rotations
+(theta_1l, theta_2l). Local constitutive laws then stay linear while the
+global kinematics remain exact for arbitrarily large displacements. An
+element's six nodal displacements enter as p = [u1, w1, theta1, u2, w2,
+theta2].
+
+The element kernels work on arrays of all elements at once.
+``update_member_data`` computes each state's chords (``current_geometry``),
+kinematics (r, z and B) and local forces once, into an ``ElementState``;
+``assemble_tangent`` scatters the element tangents that
+``element_tangent_stiffness`` builds from it, without recomputing any
+geometry. Fin-Ray scale models have at most a few hundred DOFs, so K is
+assembled dense. Only its free-DOF block is factorised, as a band in
+reverse Cuthill-McKee order: by Cholesky when it is positive definite,
+otherwise as L D L^T, whose exact inertia is the stability audit.
 """
 
 from __future__ import annotations
@@ -19,14 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrs
 
-# current_geometry and element_tangent_stiffness are not called here; they
-# stay importable from this module because bench/tracer.py counts calls to
-# them under these names.
-from .corotational import (  # noqa: F401
-    DegenerateElement,
-    current_geometry,
-    element_tangent_stiffness,
-)
 from .model import FreeBand, Structure
 
 # Pivots below this fraction of the largest pivot flag a mechanism or a
@@ -39,6 +40,10 @@ _SINGULAR_CHOLESKY_RATIO = math.sqrt(SINGULAR_PIVOT_RATIO)
 
 class SingularMatrix(RuntimeError):
     """The free-DOF tangent is singular: mechanism or instability."""
+
+
+class DegenerateElement(RuntimeError):
+    """The two displaced nodes of an element (nearly) coincide."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,9 @@ class ElementState:
       r = [-c, -s, 0, c, s, 0] and their perpendiculars
       z = [s, -c, 0, -s, c, 0], with (c, s) the chord's direction cosines;
     - ``b``: (n_elements, 3, 6) matrices B = [r; e3 - z/L; e6 - z/L] that
-      map global increments to local ones (see
-      corotational.transformation_matrix).
+      map global increments to local ones: row 1 is the axial direction,
+      rows 2 and 3 subtract the chord rotation increment from each nodal
+      rotation increment.
     """
 
     length: np.ndarray
@@ -68,8 +74,7 @@ class ElementState:
 
 
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi] in place, exactly as
-    corotational.wrap_angle, and return them.
+    """Wrap angles into (-pi, pi] in place and return them.
 
     fmod is exact, and so is the single shift by tau that follows (the
     operands are within a factor of two of each other).
@@ -99,34 +104,56 @@ _KINEMATICS = np.block([[_Z_OF_CS, _R_OF_CS, _ZERO, _ZERO],
 _KINEMATICS_CONSTANT = np.concatenate([np.zeros(6), _B_ROTATIONS.ravel()])
 
 
+def current_geometry(
+    structure: Structure,
+    p: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chord lengths and orientations of every displaced element.
+
+    ``p`` is (n_elements, 6), each element's nodal displacements. The chord
+    is the reference chord plus the relative nodal translations; nodal
+    rotations do not move it. Returns the (n_elements,) lengths L and the
+    (n_elements, 4) columns (c, s, c/L, s/L), with (c, s) the chord's
+    direction cosines. Raises DegenerateElement when an element's displaced
+    nodes (nearly) coincide. A non-finite displacement gives non-finite
+    geometry (and numpy's warnings, which update_member_data silences).
+    """
+    l0 = structure.element_l0
+    chord = structure.element_chord0 + (p[:, 3:5] - p[:, 0:2])
+    length = np.hypot(chord[:, 0], chord[:, 1])
+    degenerate = length <= 1e-14 * l0
+    if degenerate.any():
+        index = np.flatnonzero(degenerate)[0]
+        raise DegenerateElement(
+            f"element {index}: displaced nodes coincide (length "
+            f"{length[index]:.3e} from l0 {l0[index]:.3e})")
+    cs = np.empty((len(l0), 4))
+    np.divide(chord, length[:, None], out=cs[:, :2])
+    np.divide(cs[:, :2], length[:, None], out=cs[:, 2:])
+    return length, cs
+
+
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
 ) -> tuple[ElementState, np.ndarray]:
     """Refresh every element's kinematics/local forces and assemble F_int.
 
-    Gathers all elements' six DOFs at once, computes the chord geometry,
-    r, z and B, the wrapped local end rotations and the local forces as
-    arrays, and scatter-adds the global internal forces B^T [N, M1, M2] in
-    element order. A non-finite displacement yields a non-finite F_int
-    rather than an exception, so the solver can end the solve as diverged.
+    Gathers all elements' six DOFs at once, takes the chords from
+    ``current_geometry`` and computes r, z, B, the local deformations and
+    the local forces [N, M1, M2] = Cl [u_l, theta_1l, theta_2l] as arrays
+    (Cl: see Structure.element_stiffness). The stretch is u_l = L - L0;
+    the end rotations lose the rigid chord rotation beta - beta0 and are
+    wrapped into (-pi, pi], so elements stay valid through arbitrarily
+    large rigid turns. The global internal forces B^T [N, M1, M2] are
+    scatter-added in element order. A non-finite displacement yields a
+    non-finite F_int rather than an exception, so the solver can end the
+    solve as diverged.
     """
     p = displacement[structure.element_dofs]
-    l0 = structure.element_l0
-    n_el = len(l0)
     with np.errstate(invalid="ignore", over="ignore"):
-        chord = structure.element_chord0 + (p[:, 3:5] - p[:, 0:2])
-        length = np.hypot(chord[:, 0], chord[:, 1])
-        degenerate = length <= 1e-14 * l0
-        if degenerate.any():
-            index = np.flatnonzero(degenerate)[0]
-            raise DegenerateElement(
-                f"element {index}: displaced nodes coincide (length "
-                f"{length[index]:.3e} from l0 {l0[index]:.3e})")
-        # (c, s, c/L, s/L)
-        cs = np.empty((n_el, 4))
-        np.divide(chord, length[:, None], out=cs[:, :2])
-        np.divide(cs[:, :2], length[:, None], out=cs[:, 2:])
+        length, cs = current_geometry(structure, p)
+        n_el = len(length)
         kinematics = cs @ _KINEMATICS
         kinematics += _KINEMATICS_CONSTANT
         z = kinematics[:, :6]
@@ -134,7 +161,7 @@ def update_member_data(
         beta = np.arctan2(cs[:, 1], cs[:, 0])
 
         local = np.empty((n_el, 3, 1))
-        local[:, 0, 0] = length - l0
+        local[:, 0, 0] = length - structure.element_l0
         local[:, 1:, 0] = _wrap_angles(
             p[:, 2::3] + (structure.element_beta0 - beta)[:, None])
         forces = (structure.element_stiffness @ local)[:, :, 0]
@@ -146,17 +173,20 @@ def update_member_data(
     return state, f_int
 
 
-def assemble_tangent(
+def element_tangent_stiffness(
     structure: Structure,
     state: ElementState,
 ) -> np.ndarray:
-    """Consistent global tangent K from every element's 6x6 tangent
+    """(n_elements, 6, 6) consistent tangents, the exact Jacobians of each
+    element's global internal force:
 
-    k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T),
+    k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T)
 
-    evaluated for all elements at once (see
-    corotational.element_tangent_stiffness) and scatter-added in element
-    order, so the summation order and the result are deterministic.
+    with r the axial direction vector, z its in-plane perpendicular and Cl
+    the local material stiffness. The material part uses the reference
+    length L0; the geometric terms use the current length L. For pin-ended
+    elements the rotational block of Cl vanishes and M1 = M2 = 0, leaving
+    the bar tangent (EA/L0) r r^T + (N/L) z z^T.
     """
     r, z, b = state.r, state.z, state.b
     k_el = b.transpose(0, 2, 1) @ (structure.element_stiffness @ b)
@@ -170,6 +200,17 @@ def assemble_tangent(
     with np.errstate(over="ignore"):
         bending = (state.m1 + state.m2) / length**2
     k_el += bending[:, None, None] * (rz + rz.transpose(0, 2, 1))
+    return k_el
+
+
+def assemble_tangent(
+    structure: Structure,
+    state: ElementState,
+) -> np.ndarray:
+    """Consistent global tangent K: every element's tangent from
+    ``element_tangent_stiffness``, scatter-added in element order, so the
+    summation order and the result are deterministic."""
+    k_el = element_tangent_stiffness(structure, state)
     n = structure.n_dof
     return np.bincount(structure.element_scatter, weights=k_el.ravel(),
                        minlength=n * n).reshape(n, n)

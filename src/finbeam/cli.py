@@ -24,7 +24,7 @@ from .finray import (
     model_to_dict,
     params_from_dict,
 )
-from .model import ModelError, load_case, structure_from_dict
+from .model import load_case, structure_from_dict
 from .solver import BracketInvalid, SolverConfig, probe_max_force, solve
 
 EXIT_OK = 0
@@ -51,8 +51,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ModelError, ValueError, KeyError,
-            json.JSONDecodeError, OSError) as exc:
+    # InputError, ModelError and json.JSONDecodeError are ValueErrors
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -86,9 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
+    """The JSON object of an input document; every document is one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, got {data!r:.40}")
+    return data
 
 
 def _cmd_generate(args) -> int:
@@ -101,12 +105,14 @@ def _cmd_generate(args) -> int:
 
 
 def _load_vector_from_file(structure, data):
+    entries = data.get("forces", [])
+    if not isinstance(entries, list):
+        raise InputError(f"forces must be a list, got {entries!r}")
     forces = {}
-    for entry in data.get("forces", []):
-        node = int(entry["node"])
-        fx = float(entry.get("fx", 0.0))
-        fy = float(entry.get("fy", 0.0))
-        m = float(entry.get("m", 0.0))
+    for index, entry in enumerate(entries):
+        entry = _numbers(f"forces[{index}]", entry, integers=("node",))
+        node = entry["node"]
+        fx, fy, m = (float(entry.get(key, 0.0)) for key in ("fx", "fy", "m"))
         prev = forces.get(node, (0.0, 0.0, 0.0))
         forces[node] = (prev[0] + fx, prev[1] + fy, prev[2] + m)
     return load_case(structure, forces)
@@ -161,22 +167,22 @@ def _parse_sweep_spec(data) -> SweepSpec:
     axis = data.get("axis")
     if axis not in SWEEP_AXES:
         raise InputError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = tuple(data.get("values") or ())
-    if not values:
-        raise InputError("values must be a non-empty list")
-    if axis == "n_crossbeams":
-        values = tuple(int(v) for v in values)
-    elif axis == "connection":
-        values = tuple(str(v) for v in values)
-    else:
-        values = tuple(float(v) for v in values)
-    magnitudes = tuple(float(m) for m in data.get("load_magnitudes") or ())
-    if not magnitudes:
-        raise InputError("load_magnitudes must be a non-empty list")
+    values = tuple(_list("values", data.get("values")))
+    if axis in ("top_angle", "inclination"):
+        values = tuple(float(_number("values", v)) for v in values)
+    magnitudes = tuple(float(_number("load_magnitudes", m)) for m in
+                       _list("load_magnitudes", data.get("load_magnitudes")))
     if any(m <= 0 for m in magnitudes) or list(magnitudes) != sorted(magnitudes):
         raise InputError("load_magnitudes must be positive and ascending")
-    rank = int(data.get("load_node_rank", 2))
     base = params_from_dict(data.get("base_params", {}))
+    # every variant's parameters are checked here, before any solve
+    contact_nodes = min(replace(base, **{axis: v}).n_contact_nodes
+                        for v in values)
+    rank = _number("load_node_rank", data.get("load_node_rank", 2),
+                   integer=True)
+    if not 1 <= rank <= contact_nodes:
+        raise InputError(f"load_node_rank must be in 1..{contact_nodes}, the "
+                         f"contact nodes of every variant, got {rank}")
     try:
         solver_cfg = SolverConfig(**_numbers("solver", data.get("solver", {})))
     except TypeError as exc:   # a key SolverConfig does not have
@@ -185,22 +191,40 @@ def _parse_sweep_spec(data) -> SweepSpec:
     probe.update(_numbers("probe", data.get("probe", {})))
     direction = data.get("load_direction")
     if direction is not None:
-        direction = (float(direction[0]), float(direction[1]))
+        if not isinstance(direction, list) or len(direction) != 2:
+            raise InputError(f"load_direction must be [x, y], got "
+                             f"{direction!r}")
+        direction = tuple(float(_number("load_direction", d))
+                          for d in direction)
     return SweepSpec(axis, values, rank, magnitudes, base, solver_cfg, probe,
                      direction)
 
 
-def _numbers(section: str, entries) -> dict:
-    """A sweep file section whose values are all numbers, integers where
-    SolverConfig counts (n_inc, maxiter); a bool is not a number."""
+def _numbers(section: str, entries, integers=("n_inc", "maxiter")) -> dict:
+    """A document section whose values are all numbers, integers under the
+    keys in ``integers`` (by default SolverConfig's counts)."""
     if not isinstance(entries, dict):
         raise InputError(f"{section} must be an object, got {entries!r}")
     for key, value in entries.items():
-        kinds = int if key in ("n_inc", "maxiter") else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise InputError(f"{section}.{key} must be a number, got "
-                             f"{value!r}")
+        _number(f"{section}.{key}", value, integer=key in integers)
     return entries
+
+
+def _number(name: str, value, integer: bool = False):
+    """value, if it is a number (an int when ``integer``) in a float's
+    finite range; a bool is not a number."""
+    kind = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        noun = "integer" if integer else "number"
+        raise InputError(f"{name} must be a finite {noun}, got {value!r:.40}")
+    return value
+
+
+def _list(name: str, value) -> list:
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{name} must be a non-empty list, got {value!r}")
+    return value
 
 
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:

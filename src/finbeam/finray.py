@@ -45,7 +45,8 @@ angle near 31 degrees, well short of the design range).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -95,6 +96,14 @@ class FinRayParams:
     refinement: int = 4
 
     def __post_init__(self):
+        # field.type is the annotation's text; a bool is no count or length
+        kinds = {"int": (numbers.Integral, "an integer"),
+                 "float": (numbers.Real, "a number"), "str": (str, "a string")}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind, noun = kinds[field.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{field.name} must be {noun}, got {value!r}")
         positive = {"width": self.width, "height": self.height,
                     "section_b": self.section_b, "section_h": self.section_h,
                     "e_modulus": self.e_modulus}
@@ -116,6 +125,11 @@ class FinRayParams:
             raise ValueError("refinement must be >= 1")
 
     @property
+    def n_contact_nodes(self) -> int:
+        """The loadable front-fin nodes: one per crossbeam, and the tip."""
+        return self.n_crossbeams + 1
+
+    @property
     def area(self) -> float:
         return self.section_b * self.section_h
 
@@ -129,6 +143,8 @@ class FinRayParams:
 
 def params_from_dict(data: Mapping) -> FinRayParams:
     """Build FinRayParams from a JSON document, rejecting unknown keys."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"parameters must be an object, got {data!r}")
     known = FinRayParams.__dataclass_fields__
     unknown = set(data) - set(known)
     if unknown:

@@ -20,13 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (
+    DegenerateElement,
     SingularMatrix,
     apply_supports,
     assemble_tangent,
     solve_linear,
     update_member_data,
 )
-from .corotational import DegenerateElement
 from .model import LoadCase, Structure, SupportSet, make_load_case
 
 log = logging.getLogger(__name__)

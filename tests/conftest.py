@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ SECTION_H = 1e-3
 AREA = SECTION_B * SECTION_H
 INERTIA = SECTION_B * SECTION_H**3 / 12.0
 FINGER_HEIGHT = 72e-3
+
+
+def one_element_frame(l0=1.0, beta0=0.0, kind="beam"):
+    """A frame of one element from (0, 0), of reference length l0 at angle
+    beta0, with node 0 clamped. Its DOFs are the element's six, in order,
+    so F_int is the element's global internal force."""
+    props = ElementProps(E_MOD, AREA, INERTIA, kind)
+    return build_structure(
+        [(0, 0.0, 0.0), (1, l0 * math.cos(beta0), l0 * math.sin(beta0))],
+        [(0, 1, props)], {0: (True, True, True)})
 
 
 @pytest.fixture

@@ -20,27 +20,20 @@ import pytest
 import finbeam
 from finbeam import (
     BracketInvalid,
-    Element,
     ElementProps,
     FinRayParams,
     SolverConfig,
     build_structure,
-    current_geometry,
-    element_tangent_stiffness,
     generate,
-    global_internal_force,
     load_at_contact_node,
     load_case,
-    local_displacements,
-    local_forces,
     probe_max_force,
     solve,
-    transformation_matrix,
     update_member_data,
 )
-from finbeam.assembly import assemble_tangent
+from finbeam.assembly import assemble_tangent, element_tangent_stiffness
 from finbeam.cli import main as cli_main
-from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA
+from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA, one_element_frame
 
 from oracles import central_difference_jacobian, elastica_cantilever_tip
 
@@ -132,11 +125,11 @@ def test_criterion_2_elastica_large_deflection():
 
 
 def _random_element_state(rng):
+    """A one-element frame and a large displacement of it."""
     l0 = rng.uniform(0.3, 2.0)
     beta0 = rng.uniform(-math.pi, math.pi)
     kind = "pin-ended" if rng.uniform() < 0.2 else "beam"
-    element = Element(0, 1, ElementProps(E_MOD, AREA, INERTIA, kind),
-                      l0, beta0)
+    frame = one_element_frame(l0, beta0, kind)
     rot = rng.uniform(-1.0, 1.0)
     stretch = rng.uniform(-0.05, 0.05) * l0
     t1, t2 = rng.uniform(-0.2, 0.2, size=2)
@@ -146,17 +139,7 @@ def _random_element_state(rng):
     x2_new = np.array([[c, -s], [s, c]]) @ x2 * (1 + stretch / l0) + shift
     p = np.array([shift[0], shift[1], rot + t1,
                   x2_new[0] - x2[0], x2_new[1] - x2[1], rot + t2])
-    return element, p
-
-
-def _element_force_function(element):
-    def f(p):
-        g = current_geometry(element, p)
-        ld = local_displacements(element, p, g)
-        q_l = local_forces(element.props, element.l0, ld)
-        return global_internal_force(transformation_matrix(g), q_l)
-
-    return f
+    return frame, p
 
 
 def test_criterion_3_tangent_consistency():
@@ -164,18 +147,17 @@ def test_criterion_3_tangent_consistency():
     worst_fd = 0.0
     worst_sym = 0.0
     for _ in range(100):
-        element, p = _random_element_state(rng)
-        g = current_geometry(element, p)
-        ld = local_displacements(element, p, g)
-        q_l = local_forces(element.props, element.l0, ld)
-        k = element_tangent_stiffness(element.props, element.l0, g, q_l)
+        # one element: the frame's F_int is the element's internal force
+        frame, p = _random_element_state(rng)
+        state, _ = update_member_data(frame, p)
+        k = element_tangent_stiffness(frame, state)[0]
 
         scale = np.abs(k).max()
         worst_sym = max(worst_sym, np.abs(k - k.T).max() / scale)
 
-        step = 1e-7 * max(element.l0, 1.0)
-        k_fd = central_difference_jacobian(_element_force_function(element),
-                                           p, step)
+        step = 1e-7 * max(frame.element_l0[0], 1.0)
+        k_fd = central_difference_jacobian(
+            lambda x: update_member_data(frame, x)[1], p, step)
         worst_fd = max(worst_fd, np.linalg.norm(k - k_fd, "fro")
                        / np.linalg.norm(k_fd, "fro"))
     assert worst_sym < 1e-10

@@ -242,3 +242,28 @@ class TestSweep:
         data["load_magnitudes"] = [0.4, 0.2]
         spec = write_json(tmp_path / "sweep.json", data)
         assert main(["sweep", spec, str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, document", [
+    ("generate", {"n_crossbeams": "3"}),
+    ("generate", []),
+    ("solve", []),
+    ("solve", {"forces": ["x"]}),
+    ("solve", {"forces": {"node": 1}}),
+    ("solve", {"forces": [{"node": 1, "fx": [0.1]}]}),
+    ("sweep", []),
+    ("sweep", {**sweep_spec(values=(3,)), "load_direction": 5}),
+    ("sweep", {**sweep_spec(values=(3,)), "load_node_rank": 99}),
+    ("sweep", {**sweep_spec(values=(3,)), "values": 3}),
+    ("sweep", {**sweep_spec(values=(3,)), "base_params": {"refinement": 2.5}}),
+], ids=["string-count", "params-list", "load-list", "force-string",
+        "forces-object", "force-list-value", "sweep-list", "direction-number",
+        "rank-past-tip", "values-number", "fractional-refinement"])
+def test_malformed_document_exits_2(tmp_path, structure_file, capsys,
+                                    command, document):
+    doc = write_json(tmp_path / "doc.json", document)
+    out = str(tmp_path / "out.csv")
+    args = ([command, structure_file, doc, out] if command == "solve"
+            else [command, doc, out])
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")

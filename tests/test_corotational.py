@@ -1,226 +1,211 @@
+"""The co-rotational element, checked through the batched kernels on
+one-element frames: with one element, the frame's DOFs are the element's
+six and F_int is its global internal force."""
+
 import math
 
 import numpy as np
 import pytest
 
-from finbeam import (
-    DegenerateElement,
-    Element,
-    ElementProps,
-    LocalDisplacements,
+from finbeam import DegenerateElement, update_member_data
+from finbeam.assembly import (
+    _wrap_angles,
     current_geometry,
     element_tangent_stiffness,
-    global_internal_force,
-    local_displacements,
-    local_forces,
-    transformation_matrix,
 )
-from finbeam.corotational import wrap_angle
+from conftest import AREA, E_MOD, INERTIA, one_element_frame
 
 from oracles import central_difference_jacobian, linear_frame_stiffness
 
-E_MOD, AREA, INERTIA = 2e7, 2e-5, 20e-3 * (1e-3) ** 3 / 12.0
+
+def geometry(structure, p):
+    """(length, c, s) of the one element displaced by p."""
+    length, cs = current_geometry(structure, np.asarray(p, float)[None, :])
+    return length[0], cs[0, 0], cs[0, 1]
 
 
-def beam_props(kind="beam"):
-    return ElementProps(E_MOD, AREA, INERTIA, kind)
+def local_deformations(structure, p):
+    """[u_l, theta_1l, theta_2l] of a beam element displaced by p, read
+    back from its local forces [N, M1, M2] through Cl^-1."""
+    state, _ = update_member_data(structure, np.asarray(p, float))
+    forces = [state.n_axial[0], state.m1[0], state.m2[0]]
+    return np.linalg.solve(structure.element_stiffness[0], forces)
 
 
-def horizontal_element(l0=1.0, kind="beam"):
-    return Element(0, 1, beam_props(kind), l0, 0.0)
+def tangent_of(structure, p):
+    state, _ = update_member_data(structure, p)
+    return element_tangent_stiffness(structure, state)[0]
 
 
 def test_wrap_angle():
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25, abs=1e-14)
+    wrapped = _wrap_angles(np.array(
+        [0.0, math.pi, -math.pi, 3 * math.pi, 2 * math.pi + 0.25]))
+    assert wrapped[0] == 0.0
+    assert wrapped[1] == pytest.approx(math.pi)
+    assert wrapped[2] == pytest.approx(math.pi)
+    assert wrapped[3] == pytest.approx(math.pi)
+    assert wrapped[4] == pytest.approx(0.25, abs=1e-14)
 
 
 class TestCurrentGeometry:
     def test_undeformed(self):
-        el = Element(0, 1, beam_props(), 5.0, math.atan2(4, 3))
-        g = current_geometry(el, np.zeros(6))
-        assert g.length == pytest.approx(5.0)
-        assert g.cos_beta == pytest.approx(3 / 5)
-        assert g.sin_beta == pytest.approx(4 / 5)
+        s = one_element_frame(5.0, math.atan2(4, 3))
+        length, c, sin = geometry(s, np.zeros(6))
+        assert length == pytest.approx(5.0)
+        assert c == pytest.approx(3 / 5)
+        assert sin == pytest.approx(4 / 5)
 
     def test_pure_stretch(self):
-        g = current_geometry(horizontal_element(),
-                             np.array([0, 0, 0, 1.0, 0, 0]))
-        assert g.length == pytest.approx(2.0)
-        assert g.cos_beta == pytest.approx(1.0)
-        assert g.sin_beta == pytest.approx(0.0)
+        length, c, s = geometry(one_element_frame(), [0, 0, 0, 1.0, 0, 0])
+        assert length == pytest.approx(2.0)
+        assert c == pytest.approx(1.0)
+        assert s == pytest.approx(0.0)
 
     def test_rigid_quarter_turn(self):
         # node 2 moved from (1,0) to (0,1): pure rotation about node 1
-        g = current_geometry(horizontal_element(),
-                             np.array([0, 0, 0, -1.0, 1.0, 0]))
-        assert g.length == pytest.approx(1.0)
-        assert g.beta == pytest.approx(math.pi / 2)
+        length, c, s = geometry(one_element_frame(), [0, 0, 0, -1.0, 1.0, 0])
+        assert length == pytest.approx(1.0)
+        assert math.atan2(s, c) == pytest.approx(math.pi / 2)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateElement):
-            current_geometry(horizontal_element(),
-                             np.array([0, 0, 0, -1.0, 0, 0]))
+            geometry(one_element_frame(), [0, 0, 0, -1.0, 0, 0])
 
 
 class TestLocalDisplacements:
     def test_zero(self):
-        el = horizontal_element()
-        p = np.zeros(6)
-        ld = local_displacements(el, p, current_geometry(el, p))
-        assert (ld.u_l, ld.theta_1l, ld.theta_2l) == (0.0, 0.0, 0.0)
+        u_l, theta_1l, theta_2l = local_deformations(one_element_frame(),
+                                                     np.zeros(6))
+        assert (u_l, theta_1l, theta_2l) == (0.0, 0.0, 0.0)
 
     def test_rigid_rotation_produces_no_deformation(self):
-        el = horizontal_element()
-        p = np.array([0, 0, math.pi / 2, -1.0, 1.0, math.pi / 2])
-        ld = local_displacements(el, p, current_geometry(el, p))
-        assert ld.u_l == pytest.approx(0.0, abs=1e-15)
-        assert ld.theta_1l == pytest.approx(0.0, abs=1e-15)
-        assert ld.theta_2l == pytest.approx(0.0, abs=1e-15)
+        p = [0, 0, math.pi / 2, -1.0, 1.0, math.pi / 2]
+        u_l, theta_1l, theta_2l = local_deformations(one_element_frame(), p)
+        assert u_l == pytest.approx(0.0, abs=1e-15)
+        assert theta_1l == pytest.approx(0.0, abs=1e-15)
+        assert theta_2l == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_stretch(self):
-        el = horizontal_element()
-        p = np.array([0, 0, 0, 1e-3, 0, 0])
-        ld = local_displacements(el, p, current_geometry(el, p))
-        assert ld.u_l == pytest.approx(1e-3, rel=1e-12)
-        assert ld.theta_1l == 0.0
-        assert ld.theta_2l == 0.0
+        u_l, theta_1l, theta_2l = local_deformations(one_element_frame(),
+                                                     [0, 0, 0, 1e-3, 0, 0])
+        assert u_l == pytest.approx(1e-3, rel=1e-12)
+        assert theta_1l == 0.0
+        assert theta_2l == 0.0
 
 
 class TestLocalForces:
     def test_axial_force_hand_value(self):
         # E*A*u_l/L0 = 2e7 * 2e-5 * 1e-3 / 0.1 = 4.0 N
-        f = local_forces(beam_props(), 0.1, LocalDisplacements(1e-3, 0, 0))
-        assert f.n_axial == pytest.approx(4.0, rel=1e-12)
+        state, _ = update_member_data(one_element_frame(0.1),
+                                      np.array([0, 0, 0, 1e-3, 0, 0]))
+        assert state.n_axial[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_symmetric_rotation_moments(self):
         phi = 0.05
-        f = local_forces(beam_props(), 0.1, LocalDisplacements(0, phi, phi))
+        state, _ = update_member_data(one_element_frame(0.1),
+                                      np.array([0, 0, phi, 0, 0, phi]))
         expected = 6 * E_MOD * INERTIA * phi / 0.1
-        assert f.m1 == pytest.approx(expected, rel=1e-12)
-        assert f.m2 == pytest.approx(expected, rel=1e-12)
+        assert state.m1[0] == pytest.approx(expected, rel=1e-12)
+        assert state.m2[0] == pytest.approx(expected, rel=1e-12)
 
     def test_pin_ended_carries_no_moment(self):
-        f = local_forces(beam_props("pin-ended"), 0.1,
-                         LocalDisplacements(1e-3, 0.2, -0.1))
-        assert f.m1 == 0.0
-        assert f.m2 == 0.0
-        assert f.n_axial == pytest.approx(4.0, rel=1e-12)
+        # local deformations (1e-3, 0.2, -0.1) of an unrotated element
+        state, _ = update_member_data(one_element_frame(0.1, kind="pin-ended"),
+                                      np.array([0, 0, 0.2, 1e-3, 0, -0.1]))
+        assert state.m1[0] == 0.0
+        assert state.m2[0] == 0.0
+        assert state.n_axial[0] == pytest.approx(4.0, rel=1e-12)
 
 
 class TestTransformationMatrix:
     def test_horizontal_rows(self):
-        from finbeam import ElementGeometry
-        b = transformation_matrix(ElementGeometry(1.0, 1.0, 0.0))
+        state, _ = update_member_data(one_element_frame(), np.zeros(6))
         expected = np.array([
             [-1, 0, 0, 1, 0, 0],
             [0, 1, 1, 0, -1, 0],
             [0, 1, 0, 0, -1, 1],
         ], dtype=float)
-        assert np.allclose(b, expected, atol=1e-15)
+        assert np.allclose(state.b[0], expected, atol=1e-15)
+        # r is B's first row, z its perpendicular
+        assert np.array_equal(state.r[0], state.b[0, 0])
+        assert np.allclose(state.z[0], [0, -1, 0, 0, 1, 0], atol=1e-15)
 
     def test_translation_invariance(self, rng):
-        from finbeam import ElementGeometry
         beta = rng.uniform(-math.pi, math.pi)
-        g = ElementGeometry(1.7, math.cos(beta), math.sin(beta))
-        b = transformation_matrix(g)
+        state, _ = update_member_data(one_element_frame(1.7, beta),
+                                      np.zeros(6))
         dp = np.array([0.3, -0.8, 0.0, 0.3, -0.8, 0.0])
-        assert np.allclose(b @ dp, 0.0, atol=1e-15)
+        assert np.allclose(state.b[0] @ dp, 0.0, atol=1e-15)
 
     def test_infinitesimal_rotation_about_midpoint(self):
-        el = horizontal_element()
-        g = current_geometry(el, np.zeros(6))
-        b = transformation_matrix(g)
+        state, _ = update_member_data(one_element_frame(), np.zeros(6))
         eps = 1e-7
         # rotate both nodes of the unit element about (0.5, 0) by eps
         dp = np.array([0.5 * (1 - math.cos(eps)), -0.5 * math.sin(eps), eps,
                        -0.5 * (1 - math.cos(eps)), 0.5 * math.sin(eps), eps])
         # local increments vanish to first order in eps
-        assert np.all(np.abs(b @ dp) < 10 * eps**2 + 1e-15)
+        assert np.all(np.abs(state.b[0] @ dp) < 10 * eps**2 + 1e-15)
 
 
 class TestGlobalInternalForce:
     def test_zero(self):
-        from finbeam import ElementGeometry, LocalForces
-        b = transformation_matrix(ElementGeometry(1.0, 1.0, 0.0))
-        q = global_internal_force(b, LocalForces(0.0, 0.0, 0.0))
+        _, q = update_member_data(one_element_frame(), np.zeros(6))
         assert np.array_equal(q, np.zeros(6))
 
     def test_pure_axial_pair(self):
-        from finbeam import ElementGeometry, LocalForces
-        b = transformation_matrix(ElementGeometry(1.0, 1.0, 0.0))
-        q = global_internal_force(b, LocalForces(5.0, 0.0, 0.0))
+        # a stretch that makes N = 5 N in the unit horizontal element
+        stretch = 5.0 / (E_MOD * AREA)
+        _, q = update_member_data(one_element_frame(),
+                                  np.array([0, 0, 0, stretch, 0, 0]))
         assert np.allclose(q, [-5, 0, 0, 5, 0, 0], atol=1e-15)
 
     def test_self_equilibrium(self, rng):
-        from finbeam import ElementGeometry, LocalForces
+        # F_int = B^T [N, M1, M2], here for arbitrary local forces
         for _ in range(25):
             beta = rng.uniform(-math.pi, math.pi)
             length = rng.uniform(0.2, 3.0)
-            g = ElementGeometry(length, math.cos(beta), math.sin(beta))
-            f = LocalForces(*rng.uniform(-10, 10, size=3))
-            q = global_internal_force(transformation_matrix(g), f)
+            state, _ = update_member_data(one_element_frame(length, beta),
+                                          np.zeros(6))
+            q = state.b[0].T @ rng.uniform(-10, 10, size=3)
+            c, sin = state.r[0, 3:5]
             scale = np.abs(q).max() + 1e-30
             assert abs(q[0] + q[3]) <= 1e-10 * scale
             assert abs(q[1] + q[4]) <= 1e-10 * scale
             # moment balance about node 1
-            moment = (q[2] + q[5]
-                      + length * g.cos_beta * q[4]
-                      - length * g.sin_beta * q[3])
+            moment = q[2] + q[5] + length * c * q[4] - length * sin * q[3]
             assert abs(moment) <= 1e-10 * (abs(q[2]) + abs(q[5]) + scale)
 
 
 def random_state(rng, kind="beam"):
-    """Element displacement with rotation up to 1 rad and strain up to 5%."""
+    """One-element frame and a displacement with rotation up to 1 rad and
+    strain up to 5%."""
     l0 = rng.uniform(0.3, 2.0)
     beta0 = rng.uniform(-math.pi, math.pi)
-    el = Element(0, 1, beam_props(kind), l0, beta0)
+    s = one_element_frame(l0, beta0, kind)
     rot = rng.uniform(-1.0, 1.0)
     stretch = rng.uniform(-0.05, 0.05) * l0
     t1, t2 = rng.uniform(-0.2, 0.2, size=2)
     shift = rng.uniform(-0.5, 0.5, size=2)
     x1 = np.array([0.0, 0.0])
     x2 = np.array([l0 * math.cos(beta0), l0 * math.sin(beta0)])
-    c, s = math.cos(rot), math.sin(rot)
-    rot_m = np.array([[c, -s], [s, c]])
+    c, sin = math.cos(rot), math.sin(rot)
+    rot_m = np.array([[c, -sin], [sin, c]])
     x2_new = rot_m @ (x2 - x1) * (1 + stretch / l0) + x1 + shift
     x1_new = x1 + shift
     p = np.array([x1_new[0], x1_new[1], rot + t1,
                   x2_new[0] - x2[0], x2_new[1] - x2[1], rot + t2])
-    return el, p
-
-
-def internal_force_of(el):
-    def f(p):
-        g = current_geometry(el, p)
-        ld = local_displacements(el, p, g)
-        q_l = local_forces(el.props, el.l0, ld)
-        return global_internal_force(transformation_matrix(g), q_l)
-
-    return f
-
-
-def tangent_of(el, p):
-    g = current_geometry(el, p)
-    ld = local_displacements(el, p, g)
-    q_l = local_forces(el.props, el.l0, ld)
-    return element_tangent_stiffness(el.props, el.l0, g, q_l)
+    return s, p
 
 
 def test_rest_tangent_matches_linear_frame_matrix():
-    el = horizontal_element(l0=0.25)
-    k = tangent_of(el, np.zeros(6))
+    k = tangent_of(one_element_frame(0.25), np.zeros(6))
     k_ref = linear_frame_stiffness(E_MOD, AREA, INERTIA, 0.25)
     assert np.allclose(k, k_ref, rtol=1e-12, atol=1e-9)
 
 
 def test_tangent_symmetry(rng):
     for _ in range(50):
-        el, p = random_state(rng)
-        k = tangent_of(el, p)
+        k = tangent_of(*random_state(rng))
         assert np.allclose(k, k.T, rtol=1e-10, atol=1e-10 * np.abs(k).max())
 
 
@@ -228,10 +213,11 @@ def test_tangent_matches_finite_differences(rng):
     worst = 0.0
     for i in range(100):
         kind = "pin-ended" if i % 5 == 0 else "beam"
-        el, p = random_state(rng, kind)
-        k = tangent_of(el, p)
-        step = 1e-7 * max(el.l0, 1.0)
-        k_fd = central_difference_jacobian(internal_force_of(el), p, step)
+        s, p = random_state(rng, kind)
+        k = tangent_of(s, p)
+        step = 1e-7 * max(s.element_l0[0], 1.0)
+        k_fd = central_difference_jacobian(
+            lambda x: update_member_data(s, x)[1], p, step)
         err = (np.linalg.norm(k - k_fd, "fro")
                / np.linalg.norm(k_fd, "fro"))
         worst = max(worst, err)
@@ -242,19 +228,17 @@ def test_rigid_motion_objectivity(rng):
     for _ in range(50):
         l0 = rng.uniform(0.2, 2.0)
         beta0 = rng.uniform(-math.pi, math.pi)
-        el = Element(0, 1, beam_props(), l0, beta0)
+        s = one_element_frame(l0, beta0)
         rot = rng.uniform(-math.pi, math.pi)
         shift = rng.uniform(-3.0, 3.0, size=2)
         x2 = np.array([l0 * math.cos(beta0), l0 * math.sin(beta0)])
-        c, s = math.cos(rot), math.sin(rot)
-        x2_new = np.array([[c, -s], [s, c]]) @ x2 + shift
+        c, sin = math.cos(rot), math.sin(rot)
+        x2_new = np.array([[c, -sin], [sin, c]]) @ x2 + shift
         p = np.array([shift[0], shift[1], rot,
                       x2_new[0] - x2[0], x2_new[1] - x2[1], rot])
-        g = current_geometry(el, p)
-        ld = local_displacements(el, p, g)
-        assert abs(ld.u_l) <= 1e-10
-        assert abs(ld.theta_1l) <= 1e-10
-        assert abs(ld.theta_2l) <= 1e-10
-        q_l = local_forces(el.props, el.l0, ld)
-        q = global_internal_force(transformation_matrix(g), q_l)
+        u_l, theta_1l, theta_2l = local_deformations(s, p)
+        assert abs(u_l) <= 1e-10
+        assert abs(theta_1l) <= 1e-10
+        assert abs(theta_2l) <= 1e-10
+        _, q = update_member_data(s, p)
         assert np.all(np.abs(q) <= 1e-10)

@@ -41,10 +41,18 @@ class TestParams:
         {"top_angle": 0.0}, {"top_angle": 95.0}, {"inclination": 50.0},
         {"n_crossbeams": -1}, {"connection": "welded"}, {"refinement": 0},
         {"width": -1.0}, {"e_modulus": 0.0},
+        # values of the wrong type; a bool is not a number
+        {"n_crossbeams": "3"}, {"n_crossbeams": 2.5}, {"n_crossbeams": True},
+        {"refinement": 2.5}, {"height": "0.07"}, {"top_angle": None},
+        {"e_modulus": True}, {"connection": 1},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             FinRayParams(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        p = FinRayParams(n_crossbeams=np.int64(4), top_angle=np.float64(30.0))
+        assert len(generate(p).contact_nodes) == p.n_contact_nodes == 5
 
     def test_json_round_trip(self):
         p = FinRayParams(n_crossbeams=4, inclination=-10.0,
@@ -77,6 +85,7 @@ class TestGenerate:
     def test_zero_crossbeams_still_connected(self):
         model = generate(FinRayParams(n_crossbeams=0))
         assert model.contact_nodes == (model.contact_nodes[0],)
+        assert FinRayParams(n_crossbeams=0).n_contact_nodes == 1
         assert model.crossbeam_elements == ()
         # build_structure would have raised Disconnected otherwise
         assert model.structure.n_dof == 3 * len(model.structure.nodes)

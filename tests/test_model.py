@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import finbeam
 from finbeam import (
     COMPONENTS,
     DanglingElement,
@@ -236,3 +237,9 @@ def test_band_holds_every_element_coupling(name):
     # three nodes apart (two with simple connections); in node order the
     # default finger's band is 107 wide
     assert free.bandwidth == (8 if name == "connection=simple" else 11)
+
+
+def test_public_names_resolve_and_are_unique():
+    names = finbeam.__all__
+    assert [name for name in names if not hasattr(finbeam, name)] == []
+    assert len(names) == len(set(names))
