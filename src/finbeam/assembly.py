@@ -9,24 +9,25 @@ global kinematics remain exact for arbitrarily large displacements. An
 element's six nodal displacements enter as p = [u1, w1, theta1, u2, w2,
 theta2].
 
-The element kernels work on arrays of all elements at once.
-``update_member_data`` computes each state's chords (``current_geometry``),
-kinematics (r, z and B) and local forces once, into an ``ElementState``;
-``assemble_tangent`` scatters the element tangents that
-``element_tangent_stiffness`` builds from it, without recomputing any
-geometry. Fin-Ray scale models have at most a few hundred DOFs, so K is
-assembled dense. Only its free-DOF block is factorised, as a band in
-reverse Cuthill-McKee order: by Cholesky when it is positive definite,
-otherwise as L D L^T, whose exact inertia is the stability audit.
+The kernels work on all elements at once, each quantity a contiguous row
+over the elements. Every vector of an element's force and tangent is
+linear in x = (1, c, s, c/L, s/L), with (c, s) the chord's direction
+cosines and L its length, so F_int is six weights per element times
+Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
+K_BASIS, both fixed at import. K is assembled dense (a few hundred DOFs at
+most); only its free-DOF band, in reverse Cuthill-McKee order, is
+factorised: by Cholesky when it is positive definite, otherwise as
+L D L^T, whose exact inertia is the stability audit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrs
+from scipy.linalg.lapack import dpbsv, dsytrf, dsytrs
 
 from .model import FreeBand, Structure
 
@@ -48,37 +49,43 @@ class DegenerateElement(RuntimeError):
 
 @dataclass(frozen=True)
 class ElementState:
-    """Kinematics and local forces of every element at one displacement state.
+    """Chords and local forces of every element at one displacement state,
+    built by ``update_member_data`` and read by ``assemble_tangent``.
 
-    ``update_member_data`` builds it once per state; ``assemble_tangent``
-    reads it without recomputing any geometry. In element order:
-
-    - ``length``, ``n_axial``, ``m1``, ``m2``: (n_elements,) arrays of the
-      current chord length and the local forces [N, M1, M2];
-    - ``r``, ``z``: (n_elements, 6) axial direction vectors
-      r = [-c, -s, 0, c, s, 0] and their perpendiculars
-      z = [s, -c, 0, -s, c, 0], with (c, s) the chord's direction cosines;
-    - ``b``: (n_elements, 3, 6) matrices B = [r; e3 - z/L; e6 - z/L] that
-      map global increments to local ones: row 1 is the axial direction,
-      rows 2 and 3 subtract the chord rotation increment from each nodal
-      rotation increment.
-    """
+    In element order: ``length`` (n,) the chord lengths L, ``cs`` (n, 4)
+    the chord columns (c, s, c/L, s/L) of ``current_geometry``, and
+    ``n_axial``, ``m1``, ``m2`` (n,) the local forces [N, M1, M2]. Derived
+    on access, for readers other than the kernels: ``r`` and ``z`` (n, 6),
+    the axial directions [-c, -s, 0, c, s, 0] and their perpendiculars
+    [s, -c, 0, -s, c, 0], and ``b`` (n, 3, 6), B = [r; e3 - z/L; e6 - z/L],
+    which maps global increments to local ones."""
 
     length: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    b: np.ndarray
+    cs: np.ndarray
     n_axial: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
 
+    @property
+    def r(self) -> np.ndarray:
+        return self.cs[:, :2] @ _R_OF_CS
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.cs[:, :2] @ _Z_OF_CS
+
+    @property
+    def b(self) -> np.ndarray:
+        w = -(self.cs[:, 2:] @ _Z_OF_CS)
+        return np.stack([self.r, _E3 + w, _E6 + w], axis=1)
+
 
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi] in place and return them.
-
-    fmod is exact, and so is the single shift by tau that follows (the
-    operands are within a factor of two of each other).
-    """
+    """Wrap angles into (-pi, pi] in place and return them. fmod is exact,
+    and so is the single shift by tau that follows (the operands are within
+    a factor of two of each other); angles inside (-pi, pi) skip both."""
+    if np.abs(angles).max(initial=0.0) < math.pi:
+        return angles
     np.fmod(angles, math.tau, out=angles)
     angles[angles > math.pi] -= math.tau
     angles[angles <= -math.pi] += math.tau
@@ -89,19 +96,47 @@ def _wrap_angles(angles: np.ndarray) -> np.ndarray:
 # z = [s, -c, 0, -s, c, 0] as linear maps of (c, s) = (cos beta, sin beta).
 _R_OF_CS = np.array([[-1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                      [0.0, -1.0, 0.0, 0.0, 1.0, 0.0]])
-_Z_OF_CS = np.array([[0.0, -1.0, 0.0, 0.0, 1.0, 0.0],
-                     [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
-# The nodal rotation entries of B's two moment rows.
-_B_ROTATIONS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-# [z | B] with B = [r; w; w] flattened and w = -z/L, as one linear map of
-# (c, s, c/L, s/L) plus the constant rotation entries. Entries of 0 and +-1
-# keep the product exact.
-_ZERO = np.zeros((2, 6))
-_KINEMATICS = np.block([[_Z_OF_CS, _R_OF_CS, _ZERO, _ZERO],
-                        [_ZERO, _ZERO, -_Z_OF_CS, -_Z_OF_CS]])
-_KINEMATICS_CONSTANT = np.concatenate([np.zeros(6), _B_ROTATIONS.ravel()])
+_Z_OF_CS = np.array([_R_OF_CS[1], -_R_OF_CS[0]])
+_E3, _E6 = np.eye(6)[[2, 5]]
+# B^T [N, M1, M2] = N r + M1 (e3 - z/L) + M2 (e6 - z/L)
+#                 = [N c, N s, (M1+M2) c/L, (M1+M2) s/L, M1, M2] @ Q_BASIS
+Q_BASIS = np.vstack([_R_OF_CS, -_Z_OF_CS, _E3, _E6])
+# [N, N, M1+M2, M1+M2, M1, M2] from [EA/L0 u_l, EI/L0 theta_1l,
+# EI/L0 theta_2l], by Cl = diag(EA/L0, (EI/L0) [[4, 2], [2, 4]])
+_FORCE_ROWS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 6.0, 6.0],
+                        [0.0, 6.0, 6.0], [0.0, 4.0, 2.0], [0.0, 2.0, 4.0]])
+
+
+def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The element tangent's features and their flattened 6x6 patterns.
+
+    A vector is held as {i: its coefficient vector of x_i}, so a term
+    a u v^T adds a x_i x_j outer(u_i, v_j) for every i and j. Monomials
+    with equal powers of c, s and 1/L are one number and share one basis
+    row: x_i x_j with x_j x_i, and c (s/L) with s (c/L). Each term is
+    symmetric for every chord, so each row is too. Returns the features'
+    (coefficient, x_i, x_j) as numbers of the rows (EA/L0, EI/L0, N,
+    M1+M2, 1, c, s, c/L, s/L), and the basis, of small exact integers."""
+    (r0, r1), (z0, z1) = _R_OF_CS, _Z_OF_CS
+    r, z = {1: r0, 2: r1}, {1: z0, 2: z1}
+    r_l, z_l = {3: r0, 4: r1}, {3: z0, 4: z1}   # r/L and z/L
+    b2, b3 = {0: _E3, 3: -z0, 4: -z1}, {0: _E6, 3: -z0, 4: -z1}
+    terms = ([(1, r, r)], [(4, b2, b2), (2, b2, b3), (2, b3, b2), (4, b3, b3)],
+             [(1, z, z_l)], [(1, r_l, z_l), (1, z_l, r_l)])
+    powers = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    rows: dict[tuple, tuple] = {}
+    for coefficient, pattern in enumerate(terms):
+        for weight, u, v in pattern:
+            for (i, u_i), (j, v_j) in itertools.product(u.items(), v.items()):
+                key = (coefficient, *(powers[i] + powers[j]))
+                block = rows.setdefault(key, ((coefficient, 4 + i, 4 + j),
+                                              np.zeros((6, 6))))[1]
+                block += weight * np.outer(u_i, v_j)
+    features, blocks = zip(*rows.values())
+    return np.array(features).T, np.array(blocks).reshape(len(blocks), 36)
+
+
+_FEATURE_ROWS, K_BASIS = _tangent_basis()
 
 
 def current_geometry(
@@ -113,63 +148,56 @@ def current_geometry(
     ``p`` is (n_elements, 6), each element's nodal displacements. The chord
     is the reference chord plus the relative nodal translations; nodal
     rotations do not move it. Returns the (n_elements,) lengths L and the
-    (n_elements, 4) columns (c, s, c/L, s/L), with (c, s) the chord's
+    column-major (n_elements, 4) columns (c, s, c/L, s/L), (c, s) the
     direction cosines. Raises DegenerateElement when an element's displaced
     nodes (nearly) coincide. A non-finite displacement gives non-finite
-    geometry (and numpy's warnings, which update_member_data silences).
+    geometry (and numpy warnings, which update_member_data silences).
     """
     l0 = structure.element_l0
-    chord = structure.element_chord0 + (p[:, 3:5] - p[:, 0:2])
-    length = np.hypot(chord[:, 0], chord[:, 1])
+    chord = structure.element_chord0.T + (p.T[3:5] - p.T[:2])
+    length = np.hypot(chord[0], chord[1])
     degenerate = length <= 1e-14 * l0
     if degenerate.any():
         index = np.flatnonzero(degenerate)[0]
         raise DegenerateElement(
             f"element {index}: displaced nodes coincide (length "
             f"{length[index]:.3e} from l0 {l0[index]:.3e})")
-    cs = np.empty((len(l0), 4))
-    np.divide(chord, length[:, None], out=cs[:, :2])
-    np.divide(cs[:, :2], length[:, None], out=cs[:, 2:])
-    return length, cs
+    columns = np.empty((4, len(l0)))
+    np.divide(chord, length, out=columns[:2])
+    np.divide(columns[:2], length, out=columns[2:])
+    return length, columns.T
 
 
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
 ) -> tuple[ElementState, np.ndarray]:
-    """Refresh every element's kinematics/local forces and assemble F_int.
+    """Refresh every element's chord and local forces; assemble F_int.
 
-    Gathers all elements' six DOFs at once, takes the chords from
-    ``current_geometry`` and computes r, z, B, the local deformations and
-    the local forces [N, M1, M2] = Cl [u_l, theta_1l, theta_2l] as arrays
-    (Cl: see Structure.element_stiffness). The stretch is u_l = L - L0;
-    the end rotations lose the rigid chord rotation beta - beta0 and are
-    wrapped into (-pi, pi], so elements stay valid through arbitrarily
-    large rigid turns. The global internal forces B^T [N, M1, M2] are
-    scatter-added in element order. A non-finite displacement yields a
-    non-finite F_int rather than an exception, so the solver can end the
-    solve as diverged.
+    The local deformations are the stretch u_l = L - L0 and the end
+    rotations less the chord's rigid turn beta - beta0, wrapped into
+    (-pi, pi]; [N, M1, M2] = Cl [u_l, theta_1l, theta_2l] (Cl: see
+    Structure.element_moduli). Each element's B^T [N, M1, M2] is
+    [N c, N s, (M1+M2) c/L, (M1+M2) s/L, M1, M2] @ Q_BASIS, scatter-added
+    in element order. A non-finite displacement gives a non-finite F_int,
+    not an exception, so the solver can end the solve as diverged.
     """
-    p = displacement[structure.element_dofs]
+    rows = displacement[structure.element_dofs.T]
     with np.errstate(invalid="ignore", over="ignore"):
-        length, cs = current_geometry(structure, p)
-        n_el = len(length)
-        kinematics = cs @ _KINEMATICS
-        kinematics += _KINEMATICS_CONSTANT
-        z = kinematics[:, :6]
-        b = kinematics[:, 6:].reshape(n_el, 3, 6)
+        length, cs = current_geometry(structure, rows.T)
         beta = np.arctan2(cs[:, 1], cs[:, 0])
-
-        local = np.empty((n_el, 3, 1))
-        local[:, 0, 0] = length - structure.element_l0
-        local[:, 1:, 0] = _wrap_angles(
-            p[:, 2::3] + (structure.element_beta0 - beta)[:, None])
-        forces = (structure.element_stiffness @ local)[:, :, 0]
-        q = (forces[:, None, :] @ b)[:, 0, :]
+        local = np.empty((3, len(length)))  # u_l, theta_1l, theta_2l
+        np.subtract(length, structure.element_l0, out=local[0])
+        np.add(rows[2::3], structure.element_beta0 - beta, out=local[1:])
+        _wrap_angles(local[1:])
+        local[0] *= structure.element_moduli[0]  # now N
+        local[1:] *= structure.element_moduli[1]
+        weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
+        state = ElementState(length, cs, local[0], weights[4], weights[5])
+        weights[:4] *= cs.T
+        q = weights.T @ Q_BASIS
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
                         minlength=structure.n_dof)
-    state = ElementState(length, b[:, 0, :], z, b,
-                         forces[:, 0], forces[:, 1], forces[:, 2])
     return state, f_int
 
 
@@ -177,30 +205,31 @@ def element_tangent_stiffness(
     structure: Structure,
     state: ElementState,
 ) -> np.ndarray:
-    """(n_elements, 6, 6) consistent tangents, the exact Jacobians of each
-    element's global internal force:
+    """(n_elements, 6, 6) consistent tangents, the exact Jacobians of the
+    element forces: k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2)(r z^T + z r^T),
+    with Cl from L0 and the geometric terms from L. With b2 = e3 - z/L and
+    b3 = e6 - z/L, B's rows below r, this is
 
-    k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T)
+    (EA/L0) r r^T + (EI/L0) [4 b2 b2^T + 2 (b2 b3^T + b3 b2^T) + 4 b3 b3^T]
+        + N z (z/L)^T + (M1+M2) [(r/L)(z/L)^T + (z/L)(r/L)^T],
 
-    with r the axial direction vector, z its in-plane perpendicular and Cl
-    the local material stiffness. The material part uses the reference
-    length L0; the geometric terms use the current length L. For pin-ended
-    elements the rotational block of Cl vanishes and M1 = M2 = 0, leaving
-    the bar tangent (EA/L0) r r^T + (N/L) z z^T.
+    a bilinear form in x = (1, c, s, c/L, s/L): (n_elements, 15) features,
+    each a coefficient times x_i x_j, times the (15, 36) symmetric patterns
+    of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
+    M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
     """
-    r, z, b = state.r, state.z, state.b
-    k_el = b.transpose(0, 2, 1) @ (structure.element_stiffness @ b)
-    length = state.length
-    # one-term matmuls form the outer products exactly, and faster than
-    # broadcasting does
-    rz = r[:, :, None] @ z[:, None, :]
-    k_el += (state.n_axial / length)[:, None, None] * (
-        z[:, :, None] @ z[:, None, :])
-    # a far overstretched element's L^2 overflows; its moment term is then 0
-    with np.errstate(over="ignore"):
-        bending = (state.m1 + state.m2) / length**2
-    k_el += bending[:, None, None] * (rz + rz.transpose(0, 2, 1))
-    return k_el
+    n_el = len(state.length)
+    rows = np.empty((9, n_el))  # (EA/L0, EI/L0, N, M1+M2), then x
+    rows[:2] = structure.element_moduli
+    rows[2] = state.n_axial
+    rows[4] = 1.0
+    rows[5:] = state.cs.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(state.m1, state.m2, out=rows[3])
+        factors = rows[_FEATURE_ROWS]
+        features = factors[0] * factors[1]
+        features *= factors[2]
+        return (features.T @ K_BASIS).reshape(n_el, 6, 6)
 
 
 def assemble_tangent(
@@ -233,10 +262,10 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     band[r, j] = K[j + r, j]; the slots with j + r >= n are not read.
     Returns x and the number of negative eigenvalues of K.
 
-    K is first factorised by banded Cholesky (LAPACK dpbtrf) and solved
-    with dpbtrs when that succeeds and every pivot L_jj^2 is at least
-    SINGULAR_PIVOT_RATIO of the largest: K is then positive definite, with
-    no negative eigenvalue. Any other K (indefinite, near singular or not
+    K is first factorised and solved by banded Cholesky in one LAPACK call
+    (dpbsv). When that succeeds and every pivot L_jj^2 is at least
+    SINGULAR_PIVOT_RATIO of the largest, K is positive definite, with no
+    negative eigenvalue. Any other K (indefinite, near singular or not
     finite) is expanded to its dense lower triangle and factorised as
     L D L^T with Bunch-Kaufman pivoting (LAPACK dsytrf). The count is then
     that of the block-diagonal D, by Sylvester's law of inertia; each 2x2
@@ -245,11 +274,11 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     SINGULAR_PIVOT_RATIO of the largest, which signals a mechanism or
     structural instability.
     """
-    factor, info = dpbtrf(band, lower=1)
+    factor, x, info = dpbsv(band, rhs, lower=1)
     diagonal = factor[0]
     if info == 0 and np.all(diagonal >= _SINGULAR_CHOLESKY_RATIO
                             * diagonal.max(initial=0.0)):
-        return dpbtrs(factor, rhs, lower=1)[0], 0
+        return x, 0
 
     offset, column = np.indices(band.shape)
     row = offset + column

@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from .finray import (
     model_to_dict,
     params_from_dict,
 )
-from .model import load_case, structure_from_dict
+from .model import load_case, structure_from_dict, typed
 from .solver import BracketInvalid, SolverConfig, probe_max_force, solve
 
 EXIT_OK = 0
@@ -33,6 +34,11 @@ EXIT_DIVERGED = 3
 
 SWEEP_AXES = ("n_crossbeams", "top_angle", "inclination", "connection")
 DEFAULT_PROBE = {"f_lo": 0.05, "f_hi": 4.0, "resolution": 0.05}
+# the loaded node's displacement trend along each numeric axis
+DISPLACEMENT_TRENDS = {
+    "n_crossbeams": ("displacement_decreasing_with_crossbeams", operator.gt),
+    "top_angle": ("displacement_increasing_with_top_angle", operator.lt),
+    "inclination": ("displacement_increasing_with_inclination", operator.lt)}
 
 log = logging.getLogger(__name__)
 
@@ -169,8 +175,8 @@ def _parse_sweep_spec(data) -> SweepSpec:
         raise InputError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(_list("values", data.get("values")))
     if axis in ("top_angle", "inclination"):
-        values = tuple(float(_number("values", v)) for v in values)
-    magnitudes = tuple(float(_number("load_magnitudes", m)) for m in
+        values = tuple(typed("values", v, float) for v in values)
+    magnitudes = tuple(typed("load_magnitudes", m, float) for m in
                        _list("load_magnitudes", data.get("load_magnitudes")))
     if any(m <= 0 for m in magnitudes) or list(magnitudes) != sorted(magnitudes):
         raise InputError("load_magnitudes must be positive and ascending")
@@ -178,8 +184,7 @@ def _parse_sweep_spec(data) -> SweepSpec:
     # every variant's parameters are checked here, before any solve
     contact_nodes = min(replace(base, **{axis: v}).n_contact_nodes
                         for v in values)
-    rank = _number("load_node_rank", data.get("load_node_rank", 2),
-                   integer=True)
+    rank = typed("load_node_rank", data.get("load_node_rank", 2), int)
     if not 1 <= rank <= contact_nodes:
         raise InputError(f"load_node_rank must be in 1..{contact_nodes}, the "
                          f"contact nodes of every variant, got {rank}")
@@ -194,8 +199,7 @@ def _parse_sweep_spec(data) -> SweepSpec:
         if not isinstance(direction, list) or len(direction) != 2:
             raise InputError(f"load_direction must be [x, y], got "
                              f"{direction!r}")
-        direction = tuple(float(_number("load_direction", d))
-                          for d in direction)
+        direction = tuple(typed("load_direction", d, float) for d in direction)
     return SweepSpec(axis, values, rank, magnitudes, base, solver_cfg, probe,
                      direction)
 
@@ -206,19 +210,8 @@ def _numbers(section: str, entries, integers=("n_inc", "maxiter")) -> dict:
     if not isinstance(entries, dict):
         raise InputError(f"{section} must be an object, got {entries!r}")
     for key, value in entries.items():
-        _number(f"{section}.{key}", value, integer=key in integers)
+        typed(f"{section}.{key}", value, int if key in integers else float)
     return entries
-
-
-def _number(name: str, value, integer: bool = False):
-    """value, if it is a number (an int when ``integer``) in a float's
-    finite range; a bool is not a number."""
-    kind = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not -sys.float_info.max <= value <= sys.float_info.max):
-        noun = "integer" if integer else "number"
-        raise InputError(f"{name} must be a finite {noun}, got {value!r:.40}")
-    return value
 
 
 def _list(name: str, value) -> list:
@@ -290,15 +283,9 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
     disp = [v["loaded_node_disp"].get(probe_mag) for v in variants]
     have_disp = probe_mag is not None
 
-    if spec.axis == "n_crossbeams" and have_disp:
-        trends["displacement_decreasing_with_crossbeams"] = all(
-            a > b for a, b in zip(disp, disp[1:]))
-    elif spec.axis == "top_angle" and have_disp:
-        trends["displacement_increasing_with_top_angle"] = all(
-            a < b for a, b in zip(disp, disp[1:]))
-    elif spec.axis == "inclination" and have_disp:
-        trends["displacement_increasing_with_inclination"] = all(
-            a < b for a, b in zip(disp, disp[1:]))
+    if spec.axis in DISPLACEMENT_TRENDS and have_disp:
+        name, order = DISPLACEMENT_TRENDS[spec.axis]
+        trends[name] = all(map(order, disp, disp[1:]))
     elif spec.axis == "connection" and have_disp:
         by_value = {v["value"]: d for v, d in zip(variants, disp)}
         if "simple" in by_value and "rigid" in by_value and by_value["rigid"]:

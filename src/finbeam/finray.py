@@ -104,12 +104,10 @@ class FinRayParams:
             kind, noun = kinds[field.type]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{field.name} must be {noun}, got {value!r}")
-        positive = {"width": self.width, "height": self.height,
-                    "section_b": self.section_b, "section_h": self.section_h,
-                    "e_modulus": self.e_modulus}
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("width", "height", "section_b", "section_h", "e_modulus"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.top_angle < 90:
             raise ValueError(f"top_angle must be in (0, 90) degrees, "
                              f"got {self.top_angle}")

@@ -12,6 +12,8 @@ second moments in m^4, forces in N, moments in N*m.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -99,12 +101,10 @@ class SupportSet:
     @cached_property
     def dofs(self) -> np.ndarray:
         """Sorted global DOF indices that are fixed to zero, read-only."""
-        arr = np.array([3 * node_id + k
-                        for node_id in sorted(self.constrained)
-                        for k, fixed in enumerate(self.constrained[node_id])
-                        if fixed], dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
+        return _read_only([3 * node_id + k
+                           for node_id in sorted(self.constrained)
+                           for k, fixed in enumerate(self.constrained[node_id])
+                           if fixed], np.intp)
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class FreeBand:
         return self.gather.shape[0] - 1
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -151,29 +151,22 @@ class Structure:
         """Global DOF index of (node, component), component in {u, w, theta}."""
         if not 0 <= node_id < len(self.nodes):
             raise UnknownNode(f"node {node_id} not in structure")
-        try:
-            offset = COMPONENTS.index(component)
-        except ValueError:
-            raise UnknownNode(f"unknown DOF component {component!r}") from None
-        return 3 * node_id + offset
+        if component not in COMPONENTS:
+            raise UnknownNode(f"unknown DOF component {component!r}")
+        return 3 * node_id + COMPONENTS.index(component)
 
     @cached_property
     def coords(self) -> np.ndarray:
         """(n_nodes, 2) reference coordinates, read-only."""
-        arr = np.array([(n.x0, n.y0) for n in self.nodes], dtype=float)
-        arr.setflags(write=False)
-        return arr
+        return _read_only([(n.x0, n.y0) for n in self.nodes])
 
     @cached_property
     def element_dofs(self) -> np.ndarray:
         """(n_elements, 6) global DOF indices per element, read-only."""
-        arr = np.array(
+        return _read_only(
             [[3 * e.node_i, 3 * e.node_i + 1, 3 * e.node_i + 2,
               3 * e.node_j, 3 * e.node_j + 1, 3 * e.node_j + 2]
-             for e in self.elements],
-            dtype=np.intp).reshape(len(self.elements), 6)
-        arr.setflags(write=False)
-        return arr
+             for e in self.elements], np.intp).reshape(len(self.elements), 6)
 
     @cached_property
     def element_l0(self) -> np.ndarray:
@@ -187,39 +180,30 @@ class Structure:
 
     @cached_property
     def element_chord0(self) -> np.ndarray:
-        """(n_elements, 2) reference chords l0*(cos beta0, sin beta0)."""
+        """(n_elements, 2) reference chords l0*(cos beta0, sin beta0),
+        column-major, read-only."""
         return _read_only(
-            [(e.l0 * math.cos(e.beta0), e.l0 * math.sin(e.beta0))
-             for e in self.elements]).reshape(len(self.elements), 2)
+            [[e.l0 * math.cos(e.beta0) for e in self.elements],
+             [e.l0 * math.sin(e.beta0) for e in self.elements]]).T
 
     @cached_property
-    def element_stiffness(self) -> np.ndarray:
-        """(n_elements, 3, 3) local material stiffness Cl, read-only.
-
-        Cl maps the local deformations [u_l, theta_1l, theta_2l] to the
-        local forces [N, M1, M2]: EA/L0 on the axial diagonal and
-        (EI/L0) [[4, 2], [2, 4]] in the bending block, which is zero for
-        pin-ended elements.
-        """
-        arr = np.zeros((len(self.elements), 3, 3))
-        for index, e in enumerate(self.elements):
-            arr[index, 0, 0] = e.props.e_modulus * e.props.area / e.l0
-            if e.props.kind != KIND_PIN:
-                ei_l0 = e.props.e_modulus * e.props.inertia / e.l0
-                arr[index, 1:, 1:] = ((4.0 * ei_l0, 2.0 * ei_l0),
-                                      (2.0 * ei_l0, 4.0 * ei_l0))
-        arr.setflags(write=False)
-        return arr
+    def element_moduli(self) -> np.ndarray:
+        """(2, n_elements) rows EA/L0 and EI/L0 (0 for pin-ended elements)
+        of the local stiffness Cl = diag(EA/L0, (EI/L0) [[4, 2], [2, 4]]),
+        which maps [u_l, theta_1l, theta_2l] to [N, M1, M2]; read-only."""
+        return _read_only(
+            [[e.props.e_modulus * e.props.area / e.l0 for e in self.elements],
+             [0.0 if e.props.kind == KIND_PIN
+              else e.props.e_modulus * e.props.inertia / e.l0
+              for e in self.elements]])
 
     @cached_property
     def element_scatter(self) -> np.ndarray:
         """(n_elements * 36,) flat indices into the (n_dof * n_dof) global
         matrix of each element's 6x6 block, in element order, read-only."""
         dofs = self.element_dofs
-        flat = dofs[:, :, None] * self.n_dof + dofs[:, None, :]
-        flat = flat.ravel()
-        flat.setflags(write=False)
-        return flat
+        return _read_only((dofs[:, :, None] * self.n_dof
+                           + dofs[:, None, :]).ravel(), np.intp)
 
     @cached_property
     def free_band(self) -> FreeBand:
@@ -449,20 +433,36 @@ def structure_to_dict(structure: Structure) -> dict:
 
 
 def structure_from_dict(data: Mapping) -> Structure:
-    """Inverse of structure_to_dict; runs full build validation."""
+    """Inverse of structure_to_dict; runs full build validation. Ids,
+    element ends and support nodes must be integers, coordinates and
+    properties finite numbers, fixities booleans and ``kind`` a string."""
     try:
-        nodes = [Node(int(n["id"]), float(n["x"]), float(n["y"]))
-                 for n in data["nodes"]]
-        specs = [
-            (int(e["i"]), int(e["j"]),
-             ElementProps(float(e["E"]), float(e["A"]), float(e["I"]),
-                          str(e.get("kind", KIND_BEAM))))
-            for e in data["elements"]
-        ]
-        supports = {
-            int(s["node"]): (bool(s["u"]), bool(s["w"]), bool(s["theta"]))
-            for s in data["supports"]
-        }
-    except (KeyError, TypeError) as exc:
+        nodes = [Node(typed("id", n["id"], int), typed("x", n["x"], float),
+                      typed("y", n["y"], float)) for n in data["nodes"]]
+        specs = [(typed("i", e["i"], int), typed("j", e["j"], int),
+                  ElementProps(*(typed(key, e[key], float) for key in "EAI"),
+                               typed("kind", e.get("kind", KIND_BEAM), str)))
+                 for e in data["elements"]]
+        supports = {typed("node", s["node"], int):
+                    tuple(typed(key, s[key], bool) for key in COMPONENTS)
+                    for s in data["supports"]}
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed structure document: {exc}") from exc
     return build_structure(nodes, specs, supports)
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), str: (str, "a string"),
+          float: (numbers.Real, "a finite number"),
+          bool: ((bool, np.bool_), "a boolean")}
+
+
+def typed(name: str, value, kind: type):
+    """value as kind (int, float, bool or str), or ModelError when it is
+    not one. A bool is only a bool; a float must lie in a float's finite
+    range."""
+    types, noun = _KINDS[kind]
+    if (isinstance(value, (bool, np.bool_)) != (kind is bool)
+            or not isinstance(value, types)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ModelError(f"{name} must be {noun}, got {value!r:.40}")
+    return kind(value)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finbeam import ElementProps, build_structure
+from finbeam import ElementProps, FinRayParams, build_structure
 
 # Material and section of the reference design: E = 2e7 Pa, rectangular
 # 20 mm x 1 mm cross-section.
@@ -13,6 +13,18 @@ SECTION_H = 1e-3
 AREA = SECTION_B * SECTION_H
 INERTIA = SECTION_B * SECTION_H**3 / 12.0
 FINGER_HEIGHT = 72e-3
+
+# The eight design-study fingers of acceptance criterion 7.
+STUDY_FINGERS = {
+    "n_crossbeams=2": FinRayParams(n_crossbeams=2),
+    "default": FinRayParams(),
+    "n_crossbeams=4": FinRayParams(n_crossbeams=4),
+    "top_angle=30": FinRayParams(top_angle=30.0),
+    "top_angle=40": FinRayParams(top_angle=40.0),
+    "inclination=-10": FinRayParams(inclination=-10.0),
+    "inclination=+10": FinRayParams(inclination=10.0),
+    "connection=simple": FinRayParams(connection="simple"),
+}
 
 
 def one_element_frame(l0=1.0, beta0=0.0, kind="beam"):

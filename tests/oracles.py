@@ -139,3 +139,17 @@ def corotational_element(element, p):
     k += (n_axial / length) * np.outer(z, z)
     k += ((m1 + m2) / length**2) * (np.outer(r, z) + np.outer(z, r))
     return q, k
+
+
+def scalar_reference(structure, u):
+    """F_int and K of a structure (``n_dof``, ``elements`` and
+    ``element_dofs``) from a loop over the scalar co-rotational element."""
+    n = structure.n_dof
+    f_int = np.zeros(n)
+    k = np.zeros((n, n))
+    for index, element in enumerate(structure.elements):
+        dofs = structure.element_dofs[index]
+        q, k_element = corotational_element(element, u[dofs])
+        f_int[dofs] += q
+        k[np.ix_(dofs, dofs)] += k_element
+    return f_int, k

@@ -283,6 +283,14 @@ def test_criterion_6_design_study_reproduction():
     ratio = ratio_pair[0] / ratio_pair[1]
     assert 1.5 <= ratio <= 4.0
 
+    # the exact probe values, multiples of the 0.05 N step, so that a
+    # change meant to leave outputs alone shows any that it moves
+    assert crossbeams == {2: 0.70, 3: 1.25, 4: 2.20}
+    assert angles == {20.0: 1.25, 30.0: 2.85, 40.0: math.inf}
+    assert inclinations == {-10.0: 1.05, 0.0: 1.25, 10.0: 1.55}
+    assert connection == {"simple": 0.75, "rigid": 1.25}
+    assert ratio == pytest.approx(3.045, abs=1e-3)
+
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"criterion 6 took {elapsed:.1f}s"
     fmt = {k: f"{v:.2f}" for k, v in crossbeams.items()}

@@ -22,12 +22,13 @@ from finbeam import (
     solve_linear,
     update_member_data,
 )
+from finbeam.assembly import K_BASIS
 from conftest import AREA, E_MOD, INERTIA
 
 from oracles import (
     central_difference_jacobian,
-    corotational_element,
     linear_frame_stiffness,
+    scalar_reference,
 )
 from strategies import small_frames
 
@@ -281,19 +282,6 @@ def test_global_tangent_matches_finite_differences(rng):
     assert err < 1e-4, f"relative Frobenius error {err:.3e}"
 
 
-def scalar_reference(structure, u):
-    """F_int and K from a loop over the scalar co-rotational element."""
-    n = structure.n_dof
-    f_int = np.zeros(n)
-    k = np.zeros((n, n))
-    for index, element in enumerate(structure.elements):
-        dofs = structure.element_dofs[index]
-        q, k_element = corotational_element(element, u[dofs])
-        f_int[dofs] += q
-        k[np.ix_(dofs, dofs)] += k_element
-    return f_int, k
-
-
 def rigid_motion(structure, angle, shift):
     """Displacement vector of a rigid turn by angle about the origin plus a
     translation by shift."""
@@ -322,6 +310,16 @@ def test_batched_kernels_match_scalar_reference(params, rng):
         k = assemble_tangent(s, state)
         assert np.abs(f_int - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
         assert np.abs(k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
+
+
+def test_tangent_basis_rows_are_symmetric():
+    # 15 features; each row of K_BASIS is a symmetric 6x6 pattern of small
+    # integers, so the tangent is symmetric term by term and exact
+    patterns = K_BASIS.reshape(-1, 6, 6)
+    assert patterns.shape == (15, 6, 6)
+    assert np.array_equal(patterns, patterns.transpose(0, 2, 1))
+    assert np.array_equal(K_BASIS, np.round(K_BASIS))
+    assert np.all(patterns.any(axis=(1, 2)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

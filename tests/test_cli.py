@@ -267,3 +267,17 @@ def test_malformed_document_exits_2(tmp_path, structure_file, capsys,
             else [command, doc, out])
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("supports", "theta", "false"), ("elements", "E", "2e7"),
+    ("nodes", "id", 3.0)])
+def test_mistyped_structure_exits_2(tmp_path, structure_file, capsys,
+                                    section, field, value):
+    doc = json.loads(open(structure_file).read())
+    doc[section][0][field] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    load = write_json(tmp_path / "load.json",
+                      {"forces": [{"node": 4, "fx": 0.1}]})
+    assert main(["solve", bad, load, str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")

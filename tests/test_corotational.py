@@ -3,19 +3,34 @@ one-element frames: with one element, the frame's DOFs are the element's
 six and F_int is its global internal force."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from finbeam import DegenerateElement, update_member_data
+from finbeam import (
+    DegenerateElement,
+    ElementState,
+    SolverConfig,
+    assemble_tangent,
+    generate,
+    load_at_contact_node,
+    solve,
+    update_member_data,
+)
 from finbeam.assembly import (
     _wrap_angles,
     current_geometry,
     element_tangent_stiffness,
 )
-from conftest import AREA, E_MOD, INERTIA, one_element_frame
+from conftest import AREA, E_MOD, INERTIA, STUDY_FINGERS, one_element_frame
 
-from oracles import central_difference_jacobian, linear_frame_stiffness
+from oracles import (
+    central_difference_jacobian,
+    corotational_element,
+    linear_frame_stiffness,
+    scalar_reference,
+)
 
 
 def geometry(structure, p):
@@ -29,7 +44,10 @@ def local_deformations(structure, p):
     back from its local forces [N, M1, M2] through Cl^-1."""
     state, _ = update_member_data(structure, np.asarray(p, float))
     forces = [state.n_axial[0], state.m1[0], state.m2[0]]
-    return np.linalg.solve(structure.element_stiffness[0], forces)
+    ea_l0, ei_l0 = structure.element_moduli[:, 0]
+    cl = np.array([[ea_l0, 0, 0], [0, 4 * ei_l0, 2 * ei_l0],
+                   [0, 2 * ei_l0, 4 * ei_l0]])
+    return np.linalg.solve(cl, forces)
 
 
 def tangent_of(structure, p):
@@ -195,6 +213,79 @@ def random_state(rng, kind="beam"):
     p = np.array([x1_new[0], x1_new[1], rot + t1,
                   x2_new[0] - x2[0], x2_new[1] - x2[1], rot + t2])
     return s, p
+
+
+@pytest.mark.parametrize("kind", ["beam", "pin-ended"])
+def test_kernels_match_scalar_oracle(rng, kind):
+    # F_int and k of the basis products against the scalar B-form element
+    for _ in range(200):
+        s, p = random_state(rng, kind)
+        q_ref, k_ref = corotational_element(s.elements[0], p)
+        state, q = update_member_data(s, p)
+        k = element_tangent_stiffness(s, state)[0]
+        assert np.abs(q - q_ref).max() <= 1e-13 * np.abs(q_ref).max()
+        assert np.abs(k - k_ref).max() <= 1e-13 * np.abs(k_ref).max()
+
+
+def assembled_b_form(structure, state):
+    """Element forces q = B^T [N, M1, M2], and F_int and K assembled from q
+    and k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T), with
+    r, z and B read from the state."""
+    r, z, b, length = state.r, state.z, state.b, state.length
+    ea_l0, ei_l0 = structure.element_moduli
+    cl = np.zeros((len(length), 3, 3))
+    cl[:, 0, 0] = ea_l0
+    cl[:, 1:, 1:] = ei_l0[:, None, None] * np.array([[4.0, 2.0], [2.0, 4.0]])
+    forces = np.stack([state.n_axial, state.m1, state.m2], axis=1)
+    q = np.einsum("eij,ei->ej", b, forces)
+    k = b.transpose(0, 2, 1) @ cl @ b
+    k += (state.n_axial / length)[:, None, None] * np.einsum(
+        "ei,ej->eij", z, z)
+    rz = np.einsum("ei,ej->eij", r, z)
+    k += ((state.m1 + state.m2) / length**2)[:, None, None] * (
+        rz + rz.transpose(0, 2, 1))
+    f_int = np.zeros(structure.n_dof)
+    k_global = np.zeros((structure.n_dof, structure.n_dof))
+    for dofs, q_e, k_e in zip(structure.element_dofs, q, k):
+        f_int[dofs] += q_e
+        k_global[np.ix_(dofs, dofs)] += k_e
+    return q, f_int, k_global
+
+
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_kernels_match_assembled_b_form_on_study_fingers(name):
+    model = generate(STUDY_FINGERS[name])
+    s = model.structure
+    result = solve(s, load_at_contact_node(model, 2, 0.5),
+                   SolverConfig(n_inc=5))
+    assert result.completed
+    state, f_int = update_member_data(s, result.final_displacement)
+    k = assemble_tangent(s, state)
+    q_b, f_b, k_b = assembled_b_form(s, state)
+    # at equilibrium F_int is the small load; the element forces q that
+    # sum to it set the roundoff scale
+    assert np.abs(f_int - f_b).max() <= 1e-13 * np.abs(q_b).max()
+    assert np.abs(k - k_b).max() <= 1e-13 * np.abs(k_b).max()
+    # and the tangent against the scalar element, which recomputes the
+    # local forces in its own arithmetic order
+    _, k_ref = scalar_reference(s, result.final_displacement)
+    assert np.abs(k - k_ref).max() <= 1e-13 * np.abs(k_ref).max()
+
+
+def test_overflow_scale_forces_raise_no_warning():
+    s = one_element_frame(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # N = 1e300: the old (N/L) and 1/L^2 forms overflowed here
+        state, q = update_member_data(
+            s, np.array([0.0, 0.0, 0.1, 2.5e296, 0.0, -0.1]))
+        k = element_tangent_stiffness(s, state)
+        assert state.n_axial[0] == pytest.approx(1e300)
+        assert np.isfinite(q).all() and np.isfinite(k).all()
+        # an overflowed feature N c (c/L) gives a non-finite tangent
+        state = ElementState(np.array([1e-9]), np.array([[1.0, 0.0, 1e9, 0.0]]),
+                             np.array([1e300]), np.zeros(1), np.zeros(1))
+        assert not np.isfinite(element_tangent_stiffness(s, state)).all()
 
 
 def test_rest_tangent_matches_linear_frame_matrix():

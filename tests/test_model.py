@@ -21,6 +21,7 @@ from finbeam import (
     structure_from_dict,
     structure_to_dict,
 )
+from conftest import STUDY_FINGERS
 
 FIXED = (True, True, True)
 
@@ -192,17 +193,36 @@ def test_from_dict_rejects_malformed():
                              "supports": []})
 
 
-# The eight design-study fingers of acceptance criterion 7.
-STUDY_FINGERS = {
-    "n_crossbeams=2": FinRayParams(n_crossbeams=2),
-    "default": FinRayParams(),
-    "n_crossbeams=4": FinRayParams(n_crossbeams=4),
-    "top_angle=30": FinRayParams(top_angle=30.0),
-    "top_angle=40": FinRayParams(top_angle=40.0),
-    "inclination=-10": FinRayParams(inclination=-10.0),
-    "inclination=+10": FinRayParams(inclination=10.0),
-    "connection=simple": FinRayParams(connection="simple"),
-}
+def two_element_document():
+    return structure_to_dict(build_structure(
+        [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 1.0)],
+        [(0, 1, props()), (1, 2, props("pin-ended"))], {0: FIXED}))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("supports", "theta", "false"), ("supports", "u", 1),
+    ("supports", "node", "0"), ("supports", "node", 0.0),
+    ("nodes", "id", 1.0), ("nodes", "id", True), ("nodes", "x", "0.5"),
+    ("nodes", "y", math.nan), ("nodes", "x", math.inf),
+    ("elements", "E", "2e7"), ("elements", "A", False),
+    ("elements", "I", math.inf), ("elements", "i", 0.5),
+    ("elements", "j", "1"), ("elements", "kind", 5),
+    ("elements", "kind", None)])
+def test_from_dict_rejects_mistyped_fields(section, field, value):
+    # each of these was converted by bool(), int(), float() or str() and
+    # read as something else, or solved with a string modulus
+    doc = two_element_document()
+    doc[section][0][field] = value
+    with pytest.raises(ModelError, match=field):
+        structure_from_dict(doc)
+
+
+def test_from_dict_accepts_numpy_numbers():
+    doc = two_element_document()
+    doc["nodes"][1].update(id=np.int64(1), x=np.float64(1.0))
+    doc["supports"][0]["theta"] = np.bool_(True)
+    assert structure_from_dict(doc).nodes == structure_from_dict(
+        two_element_document()).nodes
 
 
 def split_by_a_fixed_node():
