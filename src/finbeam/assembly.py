@@ -22,14 +22,58 @@ L D L^T, whose exact inertia is the stability audit.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dsytrf, dsytrs
 
 from .model import FreeBand, Structure
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_file() -> str | None:
+    """Path of scipy's compiled LAPACK extension, found without importing
+    scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _lapack(*names: str) -> list:
+    """scipy's LAPACK routines ``names``, the very objects that
+    ``scipy.linalg.lapack`` exports.
+
+    The package init of scipy.linalg takes twice as long as the rest of
+    ``import finbeam.cli`` (its array-API layer pulls in numpy.testing,
+    numpy.f2py and numpy.ma), so the extension is loaded alone, under its
+    own name, where an earlier or later ``import scipy.linalg`` finds it.
+    Falls back to ``scipy.linalg.lapack`` when the file is not found.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        path = _flapack_file()
+        if path is None:
+            from scipy.linalg import lapack as module
+        else:
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_FLAPACK, loader))
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return [getattr(module, name) for name in names]
+
+
+dpbsv, dsytrf, dsytrs = _lapack("dpbsv", "dsytrf", "dsytrs")
 
 # Pivots below this fraction of the largest pivot flag a mechanism or a
 # buckled (singular) configuration rather than roundoff.

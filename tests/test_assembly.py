@@ -1,12 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dsytrf
+from scipy.linalg import lapack
 
+import finbeam
 from finbeam import (
     DegenerateElement,
     ElementProps,
@@ -22,7 +28,9 @@ from finbeam import (
     solve_linear,
     update_member_data,
 )
+from finbeam import assembly
 from finbeam.assembly import K_BASIS
+from finbeam.cli import main as cli_main
 from conftest import AREA, E_MOD, INERTIA
 
 from oracles import (
@@ -261,7 +269,7 @@ class TestSolveLinear:
             x, negative = solve_linear(lower_band(k), np.ones(n))
             assert negative == expected
             assert np.allclose(k @ x, 1.0, atol=1e-10)
-            blocks += np.any(dsytrf(k, lower=1)[1] < 0)
+            blocks += np.any(lapack.dsytrf(k, lower=1)[1] < 0)
         # Bunch-Kaufman pivoting chose a 2x2 block for some of the
         # indefinite matrices; such a block is indefinite itself, so a
         # positive definite matrix never gets one
@@ -366,3 +374,81 @@ def test_tangent_matches_finite_differences_on_random_frames(
     for columns in (translation, ~translation):
         error = np.abs(k - k_fd)[:, columns].max()
         assert error <= 1e-7 * np.abs(k[:, columns]).max()
+
+
+# LAPACK binding. The test process has imported scipy.linalg already (the
+# oracles use scipy), so the fast binding is checked in fresh interpreters.
+
+def fresh_python(*args):
+    """Run a fresh interpreter that imports this finbeam."""
+    src = str(Path(finbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, *args], env=env, check=True, timeout=60)
+
+
+NO_SCIPY_LINALG = """
+import sys
+for name in ("scipy.linalg", "numpy.testing"):
+    assert name not in sys.modules, name
+"""
+SAME_ROUTINES = """
+import scipy.linalg.lapack
+from finbeam import assembly
+for name in ("dpbsv", "dsytrf", "dsytrs"):
+    assert getattr(assembly, name) is getattr(scipy.linalg.lapack, name), name
+"""
+
+
+@pytest.mark.parametrize("script", [
+    # scipy.linalg then shares the one extension module finbeam loaded
+    "import finbeam" + NO_SCIPY_LINALG + "import finbeam.cli"
+    + NO_SCIPY_LINALG + "flapack = sys.modules['scipy.linalg._flapack']"
+    + SAME_ROUTINES + "assert scipy.linalg.lapack._flapack is flapack",
+    "import scipy.linalg" + SAME_ROUTINES,
+], ids=["finbeam-first", "scipy-linalg-first"])
+def test_lapack_routines_are_scipy_linalg_lapacks(script):
+    fresh_python("-c", script)
+
+
+def test_lapack_falls_back_to_scipy_linalg_lapack(monkeypatch):
+    monkeypatch.setattr(assembly, "_flapack_file", lambda: None)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    names = ("dpbsv", "dsytrf", "dsytrs")
+    for name, routine in zip(names, assembly._lapack(*names)):
+        assert routine is getattr(lapack, name)
+        monkeypatch.setattr(assembly, name, routine)
+    # pinned from the scipy.linalg.lapack binding, bit for bit
+    k = (np.diag([4.0, 5.0, 6.0, 7.0])
+         + np.diag([-1.0, -1.5, -2.0], 1) + np.diag([-1.0, -1.5, -2.0], -1))
+    x, negative = solve_linear(lower_band(k), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert [v.hex() for v in x] == [
+        "0x1.c872fc80f89e7p-2", "0x1.90e5f901f13cep-1",
+        "0x1.f582e9db7bebcp-1", "0x1.b3dc42d0fed5bp-1"]
+    assert negative == 0
+    k = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, -3.0]])
+    x, negative = solve_linear(lower_band(k), np.array([1.0, 2.0, 3.0]))
+    assert x.tolist() == [1.75, -0.375, -1.125]
+    assert negative == 2
+
+
+def test_fresh_process_sweep_is_byte_identical(tmp_path):
+    tilted = [math.cos(math.radians(40.0)), -math.sin(math.radians(40.0))]
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "axis": "n_crossbeams", "values": [2, 3], "load_node_rank": 2,
+        "load_magnitudes": [0.3], "load_direction": tilted,
+        "solver": {"n_inc": 5},
+        "probe": {"f_lo": 0.05, "f_hi": 1.5, "resolution": 0.05}}))
+    outputs = []
+    for run in ("fresh", "here"):
+        (tmp_path / run).mkdir()
+        args = ["sweep", str(spec), str(tmp_path / run / "out.csv"),
+                "--probe-max-force"]
+        if run == "fresh":
+            fresh_python("-m", "finbeam", *args)
+        else:
+            assert cli_main(args) == 0
+        outputs.append([(tmp_path / run / name).read_bytes()
+                        for name in ("out.csv", "out.summary.json")])
+    assert outputs[0] == outputs[1]
