@@ -14,10 +14,10 @@ over the elements. Every vector of an element's force and tangent is
 linear in x = (1, c, s, c/L, s/L), with (c, s) the chord's direction
 cosines and L its length, so F_int is six weights per element times
 Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
-K_BASIS, both fixed at import. K is assembled dense (a few hundred DOFs at
-most); only its free-DOF band, in reverse Cuthill-McKee order, is
-factorised: by Cholesky when it is positive definite, otherwise as
-L D L^T, whose exact inertia is the stability audit.
+K_BASIS, both fixed at import. K is assembled straight into the lower
+band of its free DOFs, in reverse Cuthill-McKee order, and factorised:
+by Cholesky when it is positive definite, otherwise as L D L^T, whose
+exact inertia is the stability audit.
 """
 
 from __future__ import annotations
@@ -280,23 +280,27 @@ def assemble_tangent(
     structure: Structure,
     state: ElementState,
 ) -> np.ndarray:
-    """Consistent global tangent K: every element's tangent from
-    ``element_tangent_stiffness``, scatter-added in element order, so the
-    summation order and the result are deterministic."""
-    k_el = element_tangent_stiffness(structure, state)
-    n = structure.n_dof
-    return np.bincount(structure.element_scatter, weights=k_el.ravel(),
-                       minlength=n * n).reshape(n, n)
+    """Consistent tangent of the free DOFs in LAPACK's lower band storage,
+    (bandwidth + 1, n_free) in band order (see Structure.free_band).
 
-
-def apply_supports(k: np.ndarray, band: FreeBand) -> np.ndarray:
-    """The free-DOF block of K as a lower band in band order.
-
-    One gather through ``band.gather`` (see FreeBand): the fixed DOFs'
-    rows and columns are left out, so supports need no zero-and-one rows,
-    and the result is ready for LAPACK's band routines.
+    Every element's tangent from ``element_tangent_stiffness`` is
+    scatter-added straight into its band slots in element order, so the
+    summation order and the result are deterministic. The fixed DOFs'
+    rows and columns are left out, so supports need no zero-and-one rows;
+    the slots past the matrix, which LAPACK does not read, hold 0.
     """
-    return k.ravel()[band.gather]
+    band = structure.free_band
+    n_free = len(band.order)
+    size = (band.bandwidth + 1) * n_free
+    k_el = element_tangent_stiffness(structure, state)
+    slots = np.bincount(band.slots, weights=k_el.ravel(), minlength=size + 1)
+    return slots[:size].reshape(n_free, -1).T
+
+
+def apply_supports(vector: np.ndarray, band: FreeBand) -> np.ndarray:
+    """The free entries of a global vector in band order, the right-hand
+    side of the band system that ``assemble_tangent`` returns."""
+    return vector[band.order]
 
 
 def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:

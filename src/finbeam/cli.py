@@ -15,7 +15,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .finray import (
@@ -34,6 +34,12 @@ EXIT_DIVERGED = 3
 
 SWEEP_AXES = ("n_crossbeams", "top_angle", "inclination", "connection")
 DEFAULT_PROBE = {"f_lo": 0.05, "f_hi": 4.0, "resolution": 0.05}
+# the keys each input document section may hold; any other is a typo
+LOAD_KEYS = ("forces",)
+FORCE_KEYS = ("node", "fx", "fy", "m")
+SWEEP_KEYS = ("axis", "values", "load_node_rank", "load_magnitudes",
+              "load_direction", "base_params", "solver", "probe")
+SOLVER_KEYS = tuple(field.name for field in fields(SolverConfig))
 # the loaded node's displacement trend along each numeric axis
 DISPLACEMENT_TRENDS = {
     "n_crossbeams": ("displacement_decreasing_with_crossbeams", operator.gt),
@@ -111,12 +117,13 @@ def _cmd_generate(args) -> int:
 
 
 def _load_vector_from_file(structure, data):
-    entries = data.get("forces", [])
+    entries = _known_keys("load file", data, LOAD_KEYS).get("forces", [])
     if not isinstance(entries, list):
         raise InputError(f"forces must be a list, got {entries!r}")
     forces = {}
     for index, entry in enumerate(entries):
-        entry = _numbers(f"forces[{index}]", entry, integers=("node",))
+        entry = _numbers(f"forces[{index}]", entry, FORCE_KEYS,
+                         integers=("node",))
         node = entry["node"]
         fx, fy, m = (float(entry.get(key, 0.0)) for key in ("fx", "fy", "m"))
         prev = forces.get(node, (0.0, 0.0, 0.0))
@@ -170,7 +177,7 @@ class SweepSpec:
 
 
 def _parse_sweep_spec(data) -> SweepSpec:
-    axis = data.get("axis")
+    axis = _known_keys("sweep", data, SWEEP_KEYS).get("axis")
     if axis not in SWEEP_AXES:
         raise InputError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(_list("values", data.get("values")))
@@ -188,12 +195,13 @@ def _parse_sweep_spec(data) -> SweepSpec:
     if not 1 <= rank <= contact_nodes:
         raise InputError(f"load_node_rank must be in 1..{contact_nodes}, the "
                          f"contact nodes of every variant, got {rank}")
-    try:
-        solver_cfg = SolverConfig(**_numbers("solver", data.get("solver", {})))
-    except TypeError as exc:   # a key SolverConfig does not have
-        raise InputError(f"solver: {exc}") from exc
+    solver_cfg = SolverConfig(**_numbers("solver", data.get("solver", {}),
+                                         SOLVER_KEYS))
     probe = dict(DEFAULT_PROBE)
-    probe.update(_numbers("probe", data.get("probe", {})))
+    probe.update(_numbers("probe", data.get("probe", {}), DEFAULT_PROBE))
+    if not (0 <= probe["f_lo"] < probe["f_hi"] and probe["resolution"] > 0):
+        raise InputError("probe needs 0 <= f_lo < f_hi and resolution > 0, "
+                         f"got {probe}")
     direction = data.get("load_direction")
     if direction is not None:
         if not isinstance(direction, list) or len(direction) != 2:
@@ -204,12 +212,23 @@ def _parse_sweep_spec(data) -> SweepSpec:
                      direction)
 
 
-def _numbers(section: str, entries, integers=("n_inc", "maxiter")) -> dict:
-    """A document section whose values are all numbers, integers under the
-    keys in ``integers`` (by default SolverConfig's counts)."""
+def _known_keys(section: str, entries: dict, keys) -> dict:
+    """entries, or InputError when it holds a key outside ``keys``."""
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise InputError(f"{section}: unknown key(s) {unknown}, expected "
+                         f"some of {list(keys)}")
+    return entries
+
+
+def _numbers(section: str, entries, keys,
+             integers=("n_inc", "maxiter")) -> dict:
+    """A document section of the given keys whose values are all numbers,
+    integers under the keys in ``integers`` (by default SolverConfig's
+    counts)."""
     if not isinstance(entries, dict):
         raise InputError(f"{section} must be an object, got {entries!r}")
-    for key, value in entries.items():
+    for key, value in _known_keys(section, entries, keys).items():
         typed(f"{section}.{key}", value, int if key in integers else float)
     return entries
 

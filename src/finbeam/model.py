@@ -109,27 +109,26 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class FreeBand:
-    """The free DOFs in band order and their lower band in the dense K.
+    """The free DOFs in band order and where each element's tangent entries
+    go in their lower band.
 
     - ``order``: (n_free,) the free global DOFs, node by node in reverse
       Cuthill-McKee order; row and column j of the band system is global
       DOF ``order[j]``;
-    - ``gather``: (bandwidth + 1, n_free) flat indices into the
-      (n_dof * n_dof) global matrix, in LAPACK's lower band storage: slot
-      (r, j) holds K[order[j + r], order[j]]. The slots with
-      j + r >= n_free lie past the matrix, which LAPACK does not read; they
-      repeat the diagonal K[order[j], order[j]].
+    - ``bandwidth``: the number of sub-diagonals of that system;
+    - ``slots``: (n_elements * 36,) for each element's 6x6 tangent, in
+      element order, the flat index of its entry's slot in LAPACK's lower
+      band storage, (bandwidth + 1, n_free) in Fortran order: entry (a, b)
+      at band positions (j + r, j) goes to slot j * (bandwidth + 1) + r.
+      Entries above the diagonal or on a fixed DOF go to the one discard
+      slot (bandwidth + 1) * n_free, past the band.
 
-    Both arrays are read-only; ``gather`` is Fortran-ordered, so the band
-    it gathers goes to LAPACK without a transposing copy.
+    Both arrays are read-only.
     """
 
     order: np.ndarray
-    gather: np.ndarray
-
-    @property
-    def bandwidth(self) -> int:
-        return self.gather.shape[0] - 1
+    bandwidth: int
+    slots: np.ndarray
 
 
 def _read_only(values, dtype=float) -> np.ndarray:
@@ -198,17 +197,9 @@ class Structure:
               for e in self.elements]])
 
     @cached_property
-    def element_scatter(self) -> np.ndarray:
-        """(n_elements * 36,) flat indices into the (n_dof * n_dof) global
-        matrix of each element's 6x6 block, in element order, read-only."""
-        dofs = self.element_dofs
-        return _read_only((dofs[:, :, None] * self.n_dof
-                           + dofs[:, None, :]).ravel(), np.intp)
-
-    @cached_property
     def free_band(self) -> FreeBand:
-        """The free DOFs in reverse Cuthill-McKee node order and the gather
-        indices of their lower band in K (see FreeBand)."""
+        """The free DOFs in reverse Cuthill-McKee node order and the band
+        slots of every element's tangent entries (see FreeBand)."""
         free = np.ones(self.n_dof, dtype=bool)
         free[self.supports.dofs] = False
         has_free = free.reshape(-1, 3).any(axis=1)
@@ -230,13 +221,13 @@ class Structure:
         lowest = np.where(spread >= 0, spread, n_free).min(axis=1)
         bandwidth = int(np.max(spread.max(axis=1) - lowest, initial=0))
 
-        column = np.arange(n_free)
-        row = column + np.arange(bandwidth + 1)[:, None]
-        row = np.where(row < n_free, row, column)
-        gather = np.asfortranarray(order[row] * self.n_dof + order[column])
+        row, column = spread[:, :, None], spread[:, None, :]
+        slots = np.where((column >= 0) & (row >= column),
+                         column * (bandwidth + 1) + row - column,
+                         (bandwidth + 1) * n_free).ravel()
         order.setflags(write=False)
-        gather.setflags(write=False)
-        return FreeBand(order, gather)
+        slots.setflags(write=False)
+        return FreeBand(order, bandwidth, slots)
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,8 @@ def solve(
     """Trace the equilibrium path under incrementally applied load up to
     its first instability.
 
-    Per increment n: assemble the tangent at the last converged state and
-    gather its free-DOF band K_s, take the predictor step du = K_s^-1 dF,
+    Per increment n: assemble the tangent's free-DOF band K_s at the last
+    converged state, take the predictor step du = K_s^-1 dF,
     then iterate delta_u <- delta_u - K_s^-1 R with the tangent
     reassembled from the current trial state, until ||R|| <= tolerance or
     maxiter is hit. Each solve runs in band order: the right-hand side's
@@ -163,8 +163,8 @@ def solve(
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
-            k_s = apply_supports(assemble_tangent(structure, states), band)
-            step, negative = solve_linear(k_s, d_f[order])
+            step, negative = solve_linear(assemble_tangent(structure, states),
+                                          apply_supports(d_f, band))
             if negative > 0 and records:
                 log.info("increment %d converged to an indefinite tangent",
                          n - 1)
@@ -179,9 +179,9 @@ def solve(
             delta_u = np.zeros(structure.n_dof)
             iterations = 0
             while r_norm > config.tolerance and iterations < config.maxiter:
-                k_s = apply_supports(assemble_tangent(structure, states),
-                                     band)
-                delta_u[order] -= solve_linear(k_s, r_vec[order])[0]
+                delta_u[order] -= solve_linear(
+                    assemble_tangent(structure, states),
+                    apply_supports(r_vec, band))[0]
                 u_trial = u + du + delta_u
                 states, f_int = update_member_data(structure, u_trial)
                 r_vec, r_norm = residual(f_int, f_ext, structure.supports)

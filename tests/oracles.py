@@ -3,9 +3,11 @@
 These are deliberately built on different numerics than the package under
 test: the large-deflection benchmark integrates the inextensible-rod ODE
 with an adaptive Runge-Kutta scheme plus curvature shooting, tangent
-matrices are checked against plain central differences, and the batched
+matrices are checked against plain central differences, the batched
 element kernels against a scalar co-rotational element evaluated one
-element at a time. Nothing here imports from ``finbeam``.
+element at a time, and the band assembly against a dense scatter. Only
+that scatter, ``dense_tangent``, imports from ``finbeam``: it places the
+package's own element tangents, so that only the placement is checked.
 """
 
 import math
@@ -13,6 +15,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from finbeam.assembly import element_tangent_stiffness
 
 
 def elastica_cantilever_tip(alpha):
@@ -153,3 +157,16 @@ def scalar_reference(structure, u):
         f_int[dofs] += q
         k[np.ix_(dofs, dofs)] += k_element
     return f_int, k
+
+
+def dense_tangent(structure, state):
+    """The dense n_dof x n_dof tangent: every element's 6x6 tangent from
+    ``element_tangent_stiffness`` added into its rows and columns, one
+    element after another, supports ignored. Each entry receives the same
+    contributions in the same order as its band slot does."""
+    n = structure.n_dof
+    k = np.zeros((n, n))
+    k_el = element_tangent_stiffness(structure, state)
+    for dofs, k_e in zip(structure.element_dofs, k_el):
+        k[np.ix_(dofs, dofs)] += k_e
+    return k

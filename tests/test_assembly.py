@@ -31,14 +31,15 @@ from finbeam import (
 from finbeam import assembly
 from finbeam.assembly import K_BASIS
 from finbeam.cli import main as cli_main
-from conftest import AREA, E_MOD, INERTIA
+from conftest import AREA, E_MOD, INERTIA, STUDY_FINGERS
 
 from oracles import (
     central_difference_jacobian,
+    dense_tangent,
     linear_frame_stiffness,
     scalar_reference,
 )
-from strategies import small_frames
+from strategies import pinned_frames, small_frames
 
 FIXED = (True, True, True)
 
@@ -93,17 +94,18 @@ def test_degenerate_element_reports_index():
 def test_assembled_block_is_linear_frame_matrix():
     s = single_bar()
     states, _ = update_member_data(s, np.zeros(6))
-    k = assemble_tangent(s, states)
+    k = dense_tangent(s, states)
     assert np.allclose(k, linear_frame_stiffness(E_MOD, AREA, INERTIA, 1.0),
                        rtol=1e-12, atol=1e-9)
 
 
 def test_unconnected_node_pairs_have_zero_blocks():
+    # only node 1's u is fixed, so nodes 0 and 2 are both in the band
     s = build_structure(
         [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0)],
-        [(0, 1, props()), (1, 2, props())], {0: FIXED})
+        [(0, 1, props()), (1, 2, props())], {1: (True, False, False)})
     states, _ = update_member_data(s, np.zeros(9))
-    k = assemble_tangent(s, states)
+    k = expand(assemble_tangent(s, states), s)
     assert np.array_equal(k[0:3, 6:9], np.zeros((3, 3)))
     assert np.array_equal(k[6:9, 0:3], np.zeros((3, 3)))
 
@@ -115,8 +117,8 @@ def test_assembly_order_invariance(rng):
     s1 = build_structure(nodes, specs, {0: FIXED})
     s2 = build_structure(nodes, list(reversed(specs)), {0: FIXED})
     u = rng.uniform(-0.05, 0.05, size=12)
-    k1 = assemble_tangent(s1, update_member_data(s1, u)[0])
-    k2 = assemble_tangent(s2, update_member_data(s2, u)[0])
+    k1 = expand(assemble_tangent(s1, update_member_data(s1, u)[0]), s1)
+    k2 = expand(assemble_tangent(s2, update_member_data(s2, u)[0]), s2)
     assert np.allclose(k1, k2, rtol=1e-12, atol=1e-12 * np.abs(k1).max())
 
 
@@ -125,7 +127,7 @@ def test_assembled_tangent_symmetric(rng):
         [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 1.0)],
         [(0, 1, props()), (1, 2, props())], {0: FIXED})
     u = rng.uniform(-0.1, 0.1, size=9)
-    k = assemble_tangent(s, update_member_data(s, u)[0])
+    k = dense_tangent(s, update_member_data(s, u)[0])
     assert np.allclose(k, k.T, rtol=1e-9, atol=1e-9 * np.abs(k).max())
 
 
@@ -150,36 +152,63 @@ def band_to_lower(band):
     return lower
 
 
-def symmetric_6x6():
-    k = np.arange(36, dtype=float).reshape(6, 6)
-    return k + k.T
+def expand(band, structure):
+    """The symmetric n_dof x n_dof matrix held in a structure's free-DOF
+    band, with zero rows and columns on the fixed DOFs."""
+    order = structure.free_band.order
+    lower = band_to_lower(band)
+    k = np.zeros((structure.n_dof, structure.n_dof))
+    k[np.ix_(order, order)] = lower + np.tril(lower, -1).T
+    return k
+
+
+def bent_state(s, rng):
+    """Element state at a random bending displacement of a frame."""
+    u = rng.uniform(-0.01, 0.01, size=s.n_dof)
+    return update_member_data(s, u)[0]
 
 
 class TestApplySupports:
-    def test_fully_fixed_node(self):
-        free = single_bar().free_band
+    def test_fully_fixed_node(self, rng):
+        s = single_bar()
+        free = s.free_band
         # the fixed DOFs are absent from the band
         assert sorted(free.order) == [3, 4, 5]
-        k = symmetric_6x6()
-        k_s = apply_supports(k, free)
-        assert np.array_equal(band_to_lower(k_s),
+        state = bent_state(s, rng)
+        k = dense_tangent(s, state)
+        assert np.array_equal(band_to_lower(assemble_tangent(s, state)),
                               np.tril(k[np.ix_(free.order, free.order)]))
+        vector = np.arange(6.0)
+        assert np.array_equal(apply_supports(vector, free),
+                              vector[free.order])
 
-    def test_pin_support_touches_two_dofs(self):
+    def test_pin_support_touches_two_dofs(self, rng):
         s = replace(single_bar(), supports=SupportSet({0: (True, True, False)}))
         free = s.free_band
         assert sorted(free.order) == [2, 3, 4, 5]
-        k_s = apply_supports(np.eye(6) * 7.0, free)
-        assert np.array_equal(k_s[0], np.full(4, 7.0))
+        state = bent_state(s, rng)
+        k = dense_tangent(s, state)
+        assert np.array_equal(assemble_tangent(s, state)[0],
+                              np.diagonal(k)[free.order])
 
-    def test_no_supports_is_identity_operation(self):
-        free = replace(single_bar(), supports=SupportSet({})).free_band
-        k = symmetric_6x6()
-        lower = band_to_lower(apply_supports(k, free))
-        restored = np.empty_like(k)
-        restored[np.ix_(free.order, free.order)] = (
-            lower + np.tril(lower, -1).T)
-        assert np.array_equal(restored, k)
+    def test_no_supports_is_identity_operation(self, rng):
+        s = replace(single_bar(), supports=SupportSet({}))
+        state = bent_state(s, rng)
+        k = dense_tangent(s, state)
+        assert np.array_equal(expand(assemble_tangent(s, state), s), k)
+        vector = np.arange(6.0)
+        assert np.array_equal(np.sort(apply_supports(vector, s.free_band)),
+                              vector)
+
+
+def assert_band_is_dense_lower_band(s, state):
+    """assemble_tangent's band equals, bit for bit, the lower band of the
+    dense tangent's free block, and its slots past the matrix hold 0."""
+    free = s.free_band
+    band = assemble_tangent(s, state)
+    block = dense_tangent(s, state)[np.ix_(free.order, free.order)]
+    assert band.shape == (free.bandwidth + 1, len(free.order))
+    assert np.array_equal(band, lower_band(block)[:free.bandwidth + 1])
 
 
 @pytest.mark.parametrize("params", [
@@ -191,10 +220,27 @@ def test_gathered_band_is_the_lower_band_of_the_free_block(params, rng):
     free = s.free_band
     u = np.zeros(s.n_dof)
     u[free.order] = rng.uniform(-1e-4, 1e-4, size=len(free.order))
-    k = assemble_tangent(s, update_member_data(s, u)[0])
-    block = k[np.ix_(free.order, free.order)]
-    expected = np.tril(block) - np.tril(block, -free.bandwidth - 1)
-    assert np.array_equal(band_to_lower(apply_supports(k, free)), expected)
+    assert_band_is_dense_lower_band(s, update_member_data(s, u)[0])
+
+
+@pytest.mark.parametrize("refinement", [4, 12])
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_band_equals_dense_tangent_on_study_fingers(name, refinement, rng):
+    s = generate(replace(STUDY_FINGERS[name], refinement=refinement)).structure
+    for scale in (0.0, 1e-4, 3e-3):
+        u = np.zeros(s.n_dof)
+        u[s.free_band.order] = rng.uniform(-scale, scale,
+                                           size=len(s.free_band.order))
+        assert_band_is_dense_lower_band(s, update_member_data(s, u)[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(structure=pinned_frames(), seed=st.integers(0, 2**32 - 1))
+def test_band_equals_dense_tangent_on_random_frames(structure, seed):
+    u = np.random.default_rng(seed).uniform(-0.01, 0.01,
+                                            size=structure.n_dof)
+    assert_band_is_dense_lower_band(structure,
+                                    update_member_data(structure, u)[0])
 
 
 def test_positive_definite_band_solve_matches_dense_solve(rng):
@@ -202,10 +248,10 @@ def test_positive_definite_band_solve_matches_dense_solve(rng):
     model = generate(FinRayParams())
     s, free = model.structure, model.structure.free_band
     u = solve(s, load_at_contact_node(model, 2, 0.5)).final_displacement
-    k = assemble_tangent(s, update_member_data(s, u)[0])
-    block = k[np.ix_(free.order, free.order)]
+    state = update_member_data(s, u)[0]
+    block = dense_tangent(s, state)[np.ix_(free.order, free.order)]
     rhs = rng.standard_normal(len(free.order))
-    x, negative = solve_linear(apply_supports(k, free), rhs)
+    x, negative = solve_linear(assemble_tangent(s, state), rhs)
     assert negative == 0
     expected = np.linalg.solve(block, rhs)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -225,12 +271,12 @@ class TestSolveLinear:
                             [(0, 1, props())], {0: FIXED})
         states, _ = update_member_data(s, np.zeros(6))
         free = s.free_band
-        k_s = apply_supports(assemble_tangent(s, states), free)
+        k_s = assemble_tangent(s, states)
         f = np.zeros(6)
         load = 0.05
         f[4] = load
         x = np.zeros(6)
-        x[free.order], negative = solve_linear(k_s, f[free.order])
+        x[free.order], negative = solve_linear(k_s, apply_supports(f, free))
         assert negative == 0
         assert x[4] == pytest.approx(load * length**3 / (3 * E_MOD * INERTIA),
                                      rel=1e-10)
@@ -242,7 +288,7 @@ class TestSolveLinear:
         # free-floating beam: no supports applied at all
         s = single_bar()
         states, _ = update_member_data(s, np.zeros(6))
-        k = assemble_tangent(s, states)
+        k = dense_tangent(s, states)
         with pytest.raises(SingularMatrix):
             solve_linear(lower_band(k), np.zeros(6))
 
@@ -253,6 +299,26 @@ class TestSolveLinear:
             np.array([2.0, 3.0]))
         assert np.array_equal(x, [3.0, 2.0])
         assert negative == 1
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["dpbsv", "dsytrf"])
+    def test_slots_past_the_matrix_are_not_read(self, rng, shift):
+        # the default finger's tangent at rest, positive definite, and the
+        # same less half its largest diagonal entry on the diagonal, which
+        # is indefinite and so factorised by dsytrf
+        s = generate(FinRayParams()).structure
+        band = assemble_tangent(s, update_member_data(s, np.zeros(s.n_dof))[0])
+        band[0] -= shift * band[0].max()
+        offset, column = np.indices(band.shape)
+        past = offset + column >= band.shape[1]
+        assert past.any() and np.all(band[past] == 0.0)
+        poisoned = band.copy()
+        poisoned[past] = np.nan
+        rhs = rng.standard_normal(band.shape[1])
+        x, negative = solve_linear(band, rhs)
+        assert (negative > 0) == (shift > 0)
+        x_poisoned, negative_poisoned = solve_linear(poisoned, rhs)
+        assert np.array_equal(x_poisoned, x)
+        assert negative_poisoned == negative
 
     @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
     def test_negative_count_matches_eigenvalues(self, rng, n_negative):
@@ -283,7 +349,7 @@ def test_global_tangent_matches_finite_differences(rng):
     s = build_structure(nodes, specs, {0: FIXED})
     u = rng.uniform(-0.02, 0.02, size=12)
 
-    k = assemble_tangent(s, update_member_data(s, u)[0])
+    k = dense_tangent(s, update_member_data(s, u)[0])
     k_fd = central_difference_jacobian(
         lambda x: update_member_data(s, x)[1], u, 1e-7)
     err = np.linalg.norm(k - k_fd, "fro") / np.linalg.norm(k_fd, "fro")
@@ -315,7 +381,7 @@ def test_batched_kernels_match_scalar_reference(params, rng):
         u[2::3] += rng.uniform(-0.3, 0.3, size=len(s.nodes))
         f_ref, k_ref = scalar_reference(s, u)
         state, f_int = update_member_data(s, u)
-        k = assemble_tangent(s, state)
+        k = dense_tangent(s, state)
         assert np.abs(f_int - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
         assert np.abs(k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
 
@@ -344,7 +410,7 @@ def test_rigid_motion_is_force_free_and_tangent_symmetric(
         assert np.abs(forces).max() <= 1e-10
 
     u += np.random.default_rng(seed).uniform(-0.01, 0.01, size=u.size)
-    k = assemble_tangent(structure, update_member_data(structure, u)[0])
+    k = dense_tangent(structure, update_member_data(structure, u)[0])
     assert np.abs(k - k.T).max() <= 1e-12 * np.abs(k).max()
 
 
@@ -361,7 +427,7 @@ def test_tangent_matches_finite_differences_on_random_frames(
     u += np.random.default_rng(seed).uniform(
         [-1e-3, -1e-3, -0.05], [1e-3, 1e-3, 0.05],
         size=(len(structure.nodes), 3)).ravel()
-    k = assemble_tangent(structure, update_member_data(structure, u)[0])
+    k = dense_tangent(structure, update_member_data(structure, u)[0])
     # F_int is linear in the nodal rotations, so their columns take a large
     # step, free of truncation error and far above F_int's roundoff
     translation = np.ones(structure.n_dof, dtype=bool)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from finbeam import cli
 from finbeam.cli import main
 
 TILTED = [math.cos(math.radians(40.0)), -math.sin(math.radians(40.0))]
@@ -150,6 +151,21 @@ class TestSolve:
                      str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("document", [
+        {"force": [{"node": 4, "fx": 0.1}]},
+        {"forces": [{"node": 4, "fx": 0.1, "fz": 0.1}]}],
+        ids=["force", "fz"])
+    def test_unknown_load_key_exits_2(self, tmp_path, structure_file, capsys,
+                                      document):
+        # the structure document's own extra key, which generate writes,
+        # is still accepted
+        assert "contact_nodes" in json.loads(open(structure_file).read())
+        load = write_json(tmp_path / "load.json", document)
+        out = tmp_path / "out.csv"
+        assert main(["solve", structure_file, load, str(out)]) == 2
+        assert "unknown key(s) ['f" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_runs_byte_identical(self, tmp_path, structure_file):
         doc = json.loads(open(structure_file).read())
         node2 = doc["contact_nodes"][1]
@@ -236,6 +252,39 @@ class TestSweep:
         spec = write_json(tmp_path / "sweep.json", data)
         out = str(tmp_path / "r.csv")
         assert main(["sweep", spec, out, "--probe-max-force"]) == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "load_directon", TILTED),
+        (None, "base_param", {"connection": "simple"}),
+        ("probe", "resolutoin", 0.1)],
+        ids=["load_directon", "base_param", "probe-resolutoin"])
+    def test_unknown_sweep_key_exits_2(self, tmp_path, capsys, section, key,
+                                       value):
+        data = sweep_spec(values=(3,))
+        (data[section] if section else data)[key] = value
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "r.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 2
+        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("probe", [
+        {"f_lo": 3.0, "f_hi": 1.0}, {"f_lo": 2.0}, {"f_lo": -0.1},
+        {"resolution": 0.0}, {"resolution": -0.05}],
+        ids=["reversed", "empty", "negative-f_lo", "zero-resolution",
+             "negative-resolution"])
+    def test_invalid_probe_bracket_exits_2_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, probe):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli, "probe_max_force", no_solve)
+        data = sweep_spec(values=(3,))
+        data["probe"].update(probe)
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = str(tmp_path / "r.csv")
+        assert main(["sweep", spec, out, "--probe-max-force"]) == 2
+        assert "probe needs 0 <= f_lo < f_hi" in capsys.readouterr().err
 
     def test_descending_magnitudes_exit_2(self, tmp_path):
         data = sweep_spec()

@@ -242,7 +242,7 @@ def test_band_order_is_a_permutation_of_the_free_dofs(structure):
         np.sort(free.order),
         np.setdiff1d(np.arange(structure.n_dof), structure.supports.dofs))
     assert not free.order.flags.writeable
-    assert not free.gather.flags.writeable
+    assert not free.slots.flags.writeable
 
 
 @pytest.mark.parametrize("name", STUDY_FINGERS)
