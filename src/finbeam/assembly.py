@@ -308,7 +308,10 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 
     ``band`` is K in LAPACK's lower band storage, (bandwidth + 1, n) with
     band[r, j] = K[j + r, j]; the slots with j + r >= n are not read.
-    Returns x and the number of negative eigenvalues of K.
+    ``rhs`` is one right-hand side (n,) or k of them as columns (n, k),
+    all solved from one factorization; each column of x equals, bit for
+    bit, the solve of that column alone. Returns x, shaped like rhs, and
+    the number of negative eigenvalues of K.
 
     K is first factorised and solved by banded Cholesky in one LAPACK call
     (dpbsv). When that succeeds and every pivot L_jj^2 is at least
@@ -349,5 +352,9 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / largest if largest else 0.0:.3e} "
             "below threshold; structure is unstable or a mechanism")
-    x, _ = dsytrs(ldu, ipiv, rhs, lower=1)
+    # one dsytrs call per column: a multi-column call blocks its updates
+    # differently and so rounds differently from a single column
+    columns = [dsytrs(ldu, ipiv, column, lower=1)[0]
+               for column in rhs.reshape(len(rhs), -1).T]
+    x = np.stack(columns, axis=-1).reshape(rhs.shape)
     return x, np.count_nonzero(eigenvalues < 0)

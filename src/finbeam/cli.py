@@ -272,7 +272,7 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
             if rank == spec.load_node_rank and result.completed:
                 loaded_node_disp[magnitude] = math.hypot(u, w)
 
-    max_force = None
+    max_force = probe_error = None
     if do_probe:
         pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
                                        direction=spec.load_direction).f_total
@@ -282,9 +282,10 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
                 spec.probe["f_lo"], spec.probe["f_hi"],
                 spec.probe["resolution"])
         except BracketInvalid as exc:
+            probe_error = str(exc)
             log.warning("probe for %s: %s", label, exc)
     return {"label": label, "value": value, "rows": rows,
-            "max_allowable_force": max_force,
+            "max_allowable_force": max_force, "probe_error": probe_error,
             "loaded_node_disp": loaded_node_disp}
 
 
@@ -356,7 +357,8 @@ def _cmd_sweep(args) -> int:
         "load_magnitudes": list(spec.load_magnitudes),
         "variants": [
             {"label": v["label"], "value": v["value"],
-             "max_allowable_force": v["max_allowable_force"]}
+             "max_allowable_force": v["max_allowable_force"],
+             "probe_error": v["probe_error"]}
             for v in variants
         ],
         "trends": _trend_checks(spec, variants, args.probe_max_force),

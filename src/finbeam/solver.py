@@ -7,20 +7,25 @@ the force residual norm over the free DOFs drops below the tolerance.
 The path ends at its first instability: Newton failure, a snap, or a
 negative eigenvalue of a converged tangent, counted exactly from the next
 predictor's factorization. Such an end is reported as data, not raised, so
-design sweeps and maximum-force probes can observe failures gracefully.
+design sweeps can observe failures gracefully.
+
+The maximum-force probe instead follows the path by arc-length
+continuation, which passes the limit points where force control fails,
+and stops at the first state whose tangent is not positive definite.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .assembly import (
     DegenerateElement,
+    ElementState,
     SingularMatrix,
     apply_supports,
     assemble_tangent,
@@ -34,6 +39,15 @@ log = logging.getLogger(__name__)
 # A load increment whose conjugate displacement step exceeds this multiple
 # of the previous step is read as a snap-through.
 SNAP_JUMP_RATIO = 3.0
+# Arc-length continuation of the maximum-force probe: the first predictor's
+# share of f_hi, the corrector iterations a step adapts toward and may take,
+# the largest growth of the arc length per step, and the halvings in a row
+# after which a path whose steps do not converge ends.
+ARC_FIRST_STEP = 0.1
+ARC_TARGET_ITERATIONS = 3
+ARC_MAX_ITERATIONS = 5
+ARC_MAX_GROWTH = 2.0
+ARC_MAX_CUTS = 10
 
 
 class BracketInvalid(ValueError):
@@ -226,19 +240,27 @@ def probe_max_force(
     f_hi: float,
     resolution: float,
 ) -> float:
-    """Largest load magnitude (within resolution) the structure sustains.
+    """Load magnitude at the first instability of the path, within
+    resolution below it.
 
-    Traces one force-controlled load path of ``load_pattern`` (typically a
-    unit force at one node) from zero to ``f_hi`` in
-    ``n_inc = max(config.n_inc, ceil(f_hi / resolution))`` equal steps.
-    ``solve`` ends that path at its first instability event (Newton-Raphson
-    failure, an indefinite converged tangent or a snap), so the probe
-    returns the load of its last recorded increment, a multiple of the
-    step ``f_hi / n_inc``. Raises BracketInvalid when f_lo >= f_hi, when
-    the whole path to f_hi completes ("still holds at f_hi") and when the
-    returned force would fall below f_lo ("already collapses at f_lo"),
-    and ValueError when f_lo, f_hi or resolution is not finite.
-    Deterministic for fixed inputs.
+    Follows the equilibrium path of ``lam * f_hi * load_pattern``
+    (typically a unit force at one node) from the unloaded state by
+    Crisfield's cylindrical arc-length continuation, which passes limit
+    points that force control cannot. The arc length adapts toward
+    ARC_TARGET_ITERATIONS corrector iterations per step, and a step that
+    has not converged within ARC_MAX_ITERATIONS is retried at half the
+    length. The path ends at the first converged state whose tangent,
+    factored for its next predictor, has a negative eigenvalue or is
+    singular: a limit point or a bifurcation. The probe then restarts from
+    the last positive-definite state at half the arc length until a
+    predictor step from that state is worth at most ``resolution`` of load
+    and still crosses the instability, and returns the load that state
+    carries. ``config`` supplies the residual tolerance; ``n_inc`` and
+    ``maxiter`` do not step the path. Raises BracketInvalid when
+    f_lo >= f_hi, when a positive-definite state at or past f_hi is reached
+    ("still holds at f_hi") and when the returned force falls below f_lo
+    ("already collapses at f_lo"), and ValueError when f_lo, f_hi or
+    resolution is not finite. Deterministic for fixed inputs.
     """
     if not all(map(math.isfinite, (f_lo, f_hi, resolution))):
         raise ValueError("f_lo, f_hi and resolution must be finite, got "
@@ -252,13 +274,166 @@ def probe_max_force(
     if not np.any(pattern):
         raise ValueError("load pattern must be nonzero")
 
-    n_inc = max(config.n_inc, math.ceil(f_hi / resolution))
-    result = solve(structure, make_load_case(structure, f_hi * pattern),
-                   replace(config, n_inc=n_inc))
-    held = len(result.increments)
-    if held == n_inc:
+    f_ref = make_load_case(structure, f_hi * pattern).f_total
+    lam = _trace(structure, f_ref, config.tolerance, resolution / f_hi)
+    if lam is None:
         raise BracketInvalid(f"structure still holds at f_hi = {f_hi}")
-    force = held * f_hi / n_inc
+    force = f_hi * lam
     if force < f_lo:
         raise BracketInvalid(f"structure already collapses at f_lo = {f_lo}")
     return force
+
+
+@dataclass(frozen=True)
+class _PathState:
+    """A converged state of the continuation whose tangent is positive
+    definite: displacement, load factor, force residual, and
+    x_f = K^-1 f_ref in band order, the direction of its predictor."""
+
+    u: np.ndarray
+    lam: float
+    r_vec: np.ndarray
+    x_f: np.ndarray
+
+
+def _trace(
+    structure: Structure,
+    f_ref: np.ndarray,
+    tolerance: float,
+    lam_resolution: float,
+) -> Optional[float]:
+    """Load factor carried by the last positive-definite state before the
+    first instability on the path F_ext = lam * f_ref, to within
+    ``lam_resolution``, or None when a positive-definite state reaches
+    lam >= 1 (see probe_max_force). Each converged state's tangent is
+    factored once: its negative-eigenvalue count audits the state and its
+    solve gives the next predictor."""
+    u = np.zeros(structure.n_dof)
+    states, f_int = update_member_data(structure, u)
+    r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
+    good = _audited(structure, f_ref, u, 0.0, states, r_vec)
+    if good is None:
+        log.info("probe: the unloaded tangent is not positive definite")
+        return 0.0
+    arc = ARC_FIRST_STEP * float(np.linalg.norm(good.x_f))
+    refining = False
+    cuts = 0
+    while True:
+        step = _arc_step(structure, f_ref, tolerance, good, arc)
+        if step is None:
+            cuts += 1
+            if cuts > ARC_MAX_CUTS:
+                log.info("probe: no step from load factor %.6g converges",
+                         good.lam)
+                return _carried(good, f_ref)
+            arc *= 0.5
+            continue
+        state, iterations = step
+        audited = _audited(structure, f_ref, *state)
+        if audited is not None:
+            good, cuts = audited, 0
+            if good.lam >= 1.0:
+                return None
+            if not refining:
+                arc *= min(ARC_MAX_GROWTH, math.sqrt(
+                    ARC_TARGET_ITERATIONS / max(iterations, 1)))
+            continue
+        log.debug("probe: instability between load factors %.6g and %.6g",
+                  good.lam, state[1])
+        if arc / np.linalg.norm(good.x_f) <= lam_resolution:
+            return _carried(good, f_ref)
+        refining = True
+        arc *= 0.5
+
+
+def _carried(state: _PathState, f_ref: np.ndarray) -> float:
+    """The load factor carried by a state's internal force along f_ref: lam
+    plus the residual's component along f_ref, (f_ref . R) / (f_ref . f_ref).
+    lam alone can exceed the peak of the path by up to tolerance / ||f_ref||,
+    since a converged state may be that far from equilibrium."""
+    return float(state.lam + (f_ref @ state.r_vec) / (f_ref @ f_ref))
+
+
+def _audited(
+    structure: Structure,
+    f_ref: np.ndarray,
+    u: np.ndarray,
+    lam: float,
+    states: ElementState,
+    r_vec: np.ndarray,
+) -> Optional[_PathState]:
+    """The converged state with its predictor direction, or None when its
+    tangent has a negative eigenvalue or is singular."""
+    rhs = apply_supports(f_ref, structure.free_band)
+    try:
+        x_f, negative = solve_linear(assemble_tangent(structure, states), rhs)
+    except SingularMatrix:
+        return None
+    return None if negative else _PathState(u, lam, r_vec, x_f)
+
+
+def _arc_step(
+    structure: Structure,
+    f_ref: np.ndarray,
+    tolerance: float,
+    start: _PathState,
+    arc: float,
+) -> Optional[tuple[tuple, int]]:
+    """One cylindrical arc-length step of length ``arc`` from ``start``.
+
+    The predictor is the tangent step du = d x_f with d = arc / ||x_f|| > 0:
+    from a positive-definite state the path rises. Each corrector solves
+    K [x_f, x_r] = [f_ref, -R] with one factorization and takes the load
+    change d that keeps ||du + x_r + d x_f|| = arc, the root whose step
+    turns least from du (Crisfield 1981). Returns ((u, lam, states, r_vec),
+    corrector iterations), or None when the step does not converge within
+    ARC_MAX_ITERATIONS, the constraint has no real root, or the state turns
+    singular, degenerate or non-finite.
+    """
+    band = structure.free_band
+    d_lam = arc / np.linalg.norm(start.x_f)
+    du = d_lam * start.x_f
+    lam = start.lam + d_lam
+    iterations = 0
+    try:
+        while True:
+            u = start.u.copy()
+            u[band.order] += du
+            states, f_int = update_member_data(structure, u)
+            r_vec, r_norm = residual(f_int, lam * f_ref, structure.supports)
+            if not math.isfinite(r_norm):
+                return None
+            if r_norm <= tolerance:
+                return (u, lam, states, r_vec), iterations
+            if iterations == ARC_MAX_ITERATIONS:
+                return None
+            iterations += 1
+            rhs = apply_supports(np.column_stack((f_ref, -r_vec)), band)
+            x, _ = solve_linear(assemble_tangent(structure, states), rhs)
+            x_f, x_r = x.T
+            d_lam = _arc_root(x_f, du + x_r, arc, du @ x_f >= 0)
+            if d_lam is None:
+                return None
+            du += x_r + d_lam * x_f
+            lam += d_lam
+    except (SingularMatrix, DegenerateElement):
+        return None
+
+
+def _arc_root(
+    x_f: np.ndarray,
+    base: np.ndarray,
+    arc: float,
+    larger: bool,
+) -> Optional[float]:
+    """The root d of ||base + d x_f||^2 = arc^2, the larger one when
+    ``larger``, or None when there is no real root."""
+    a = x_f @ x_f
+    b = 2.0 * (x_f @ base)
+    c = base @ base - arc * arc
+    disc = b * b - 4.0 * a * c
+    if not (disc >= 0.0 and a > 0.0):
+        return None
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = (q / a, c / q) if q != 0.0 else (0.0, 0.0)
+    return max(roots) if larger else min(roots)

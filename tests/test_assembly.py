@@ -320,6 +320,22 @@ class TestSolveLinear:
         assert np.array_equal(x_poisoned, x)
         assert negative_poisoned == negative
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["dpbsv", "dsytrf"])
+    def test_columns_solve_as_single_right_hand_sides(self, rng, shift):
+        # the bands of the test above; a 2-column solve shares one
+        # factorization, and each column must come out as its own solve
+        s = generate(FinRayParams()).structure
+        band = assemble_tangent(s, update_member_data(s, np.zeros(s.n_dof))[0])
+        band[0] -= shift * band[0].max()
+        rhs = rng.standard_normal((band.shape[1], 2))
+        x, negative = solve_linear(band, rhs)
+        assert x.shape == rhs.shape
+        for column in range(2):
+            single, single_negative = solve_linear(band, rhs[:, column].copy())
+            assert np.array_equal(x[:, column], single)
+            assert single_negative == negative
+        assert (negative > 0) == (shift > 0)
+
     @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
     def test_negative_count_matches_eigenvalues(self, rng, n_negative):
         n = 30

@@ -215,9 +215,26 @@ class TestSweep:
         assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
         summary = json.loads((tmp_path / "report.summary.json").read_text())
         forces = [v["max_allowable_force"] for v in summary["variants"]]
-        assert forces == [0.75, 1.25]
+        assert forces == [pytest.approx(0.7991369553871157, abs=1e-9),
+                          pytest.approx(1.2815612778424734, abs=1e-9)]
+        assert [v["probe_error"] for v in summary["variants"]] == [None, None]
         assert summary["trends"]["rigid_max_force_exceeds_simple"] is True
         assert summary["trends"]["simple_over_rigid_ratio"] > 1.0
+
+    def test_probe_error_names_a_variant_that_holds(self, tmp_path):
+        data = sweep_spec(values=(30, 40), probe_hi=4.0)
+        data["axis"] = "top_angle"
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        top30, top40 = summary["variants"]
+        assert top30["max_allowable_force"] is not None
+        assert top30["probe_error"] is None
+        assert top40["max_allowable_force"] is None
+        assert top40["probe_error"] == "structure still holds at f_hi = 4.0"
+        # a variant that holds the whole bracket counts as the strongest
+        assert summary["trends"]["max_force_ascending"] is True
 
     def test_invalid_axis_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "sweep.json",

@@ -26,7 +26,7 @@ from finbeam import (
     solve,
     update_member_data,
 )
-from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA
+from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS
 
 from oracles import elastica_cantilever_tip
 from strategies import small_frames
@@ -193,7 +193,7 @@ def test_probe_matches_von_mises_limit():
     resolution = 0.002
     found = probe_max_force(s, pattern, cfg, 0.1 * limit, 2.0 * limit,
                             resolution)
-    assert found == pytest.approx(limit, abs=3 * resolution)
+    assert limit - resolution <= found <= limit
     # determinism
     again = probe_max_force(s, pattern, cfg, 0.1 * limit, 2.0 * limit,
                             resolution)
@@ -293,21 +293,54 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     assert result.diverged_at == 1
 
 
-def test_probe_reports_first_limit_point_for_top_angle_30():
-    # Force control tunnels past the limit point near 2.85 N at some step
-    # sizes, so a search over repeated solves reported 3.81 N here.
-    model = generate(FinRayParams(top_angle=30.0))
+# Force control's snap heuristic (SNAP_JUMP_RATIO) ends these two paths
+# below the probed force, where the exact inertia along the continuation
+# stays positive: inclination +10 crosses a near-critical plateau at 1.576 N
+# (lambda_min 1.5e-6) and the simple connection nears its peak at 0.800 N.
+SNAP_HEURISTIC_FIRES = pytest.mark.xfail(
+    strict=True, reason="SNAP_JUMP_RATIO reads a stable plateau as a snap")
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(params, id=name, marks=SNAP_HEURISTIC_FIRES
+                 if name in ("inclination=+10", "connection=simple") else ())
+    for name, params in STUDY_FINGERS.items() if name != "top_angle=40"])
+def test_force_control_reaches_the_probed_force_stably(params):
+    # The study fingers of criterion 6 (top angle 40 holds at 4 N). Force
+    # control tunnels past the top-angle-30 limit point near 2.88 N at some
+    # step sizes, so a search over repeated solves reported 3.81 N there.
+    model = generate(params)
     pattern = load_at_contact_node(model, 2, 1.0,
                                    direction=STUDY_DIRECTION).f_total
     found = probe_max_force(model.structure, pattern, SolverConfig(n_inc=10),
                             0.05, 4.0, 0.05)
-    assert found < 3.0
-    n_inc = round(found / 0.05)
     result = solve(model.structure,
                    make_load_case(model.structure, found * pattern),
-                   SolverConfig(n_inc=n_inc))
+                   SolverConfig(n_inc=math.ceil(found / 0.05)))
     assert result.completed
     assert path_is_stable(result)
+
+
+def test_probe_factorizations_of_the_two_crossbeam_finger(monkeypatch):
+    # every tangent the probe factors goes through finbeam.solver's global
+    # solve_linear, where a tracer can wrap it; force control took 132
+    # factorizations for this probe, 41 of them dense
+    exact = finbeam.solver.solve_linear
+    calls = []
+
+    def counted(band, rhs):
+        calls.append(rhs.shape)
+        return exact(band, rhs)
+
+    monkeypatch.setattr(finbeam.solver, "solve_linear", counted)
+    model = generate(FinRayParams(n_crossbeams=2))
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    probe_max_force(model.structure, pattern, SolverConfig(n_inc=10),
+                    0.05, 4.0, 0.05)
+    assert len(calls) == 25
+    # audits solve for the load alone, correctors for load and residual
+    assert {shape[1:] for shape in calls} == {(), (2,)}
 
 
 def test_euler_column_ends_at_critical_load(make_cantilever):
