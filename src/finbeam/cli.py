@@ -15,7 +15,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .finray import (
@@ -25,7 +25,7 @@ from .finray import (
     model_to_dict,
     params_from_dict,
 )
-from .model import load_case, structure_from_dict, typed
+from .model import known_keys, load_case, structure_from_dict, typed
 from .solver import BracketInvalid, SolverConfig, probe_max_force, solve
 
 EXIT_OK = 0
@@ -39,7 +39,6 @@ LOAD_KEYS = ("forces",)
 FORCE_KEYS = ("node", "fx", "fy", "m")
 SWEEP_KEYS = ("axis", "values", "load_node_rank", "load_magnitudes",
               "load_direction", "base_params", "solver", "probe")
-SOLVER_KEYS = tuple(field.name for field in fields(SolverConfig))
 # the loaded node's displacement trend along each numeric axis
 DISPLACEMENT_TRENDS = {
     "n_crossbeams": ("displacement_decreasing_with_crossbeams", operator.gt),
@@ -84,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("structure_file")
     slv.add_argument("load_file")
     slv.add_argument("out_file")
-    slv.add_argument("--n-inc", type=int, default=10)
-    slv.add_argument("--tolerance", type=float, default=1e-3)
-    slv.add_argument("--maxiter", type=int, default=100)
+    slv.add_argument("--n-inc", type=int, default=SolverConfig.n_inc)
+    slv.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+    slv.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
     slv.set_defaults(func=_cmd_solve)
 
     swp = sub.add_parser("sweep", help="run a design-parameter sweep")
@@ -98,13 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    """The JSON object of an input document; every document is one."""
+def _read_json(path: str):
+    """An input document's JSON value; its reader checks it is an object."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InputError(f"{path} must hold a JSON object, got {data!r:.40}")
-    return data
+        return json.load(fh)
 
 
 def _cmd_generate(args) -> int:
@@ -117,7 +113,7 @@ def _cmd_generate(args) -> int:
 
 
 def _load_vector_from_file(structure, data):
-    entries = _known_keys("load file", data, LOAD_KEYS).get("forces", [])
+    entries = known_keys("load file", data, LOAD_KEYS).get("forces", [])
     if not isinstance(entries, list):
         raise InputError(f"forces must be a list, got {entries!r}")
     forces = {}
@@ -177,7 +173,7 @@ class SweepSpec:
 
 
 def _parse_sweep_spec(data) -> SweepSpec:
-    axis = _known_keys("sweep", data, SWEEP_KEYS).get("axis")
+    axis = known_keys("sweep", data, SWEEP_KEYS).get("axis")
     if axis not in SWEEP_AXES:
         raise InputError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(_list("values", data.get("values")))
@@ -195,8 +191,8 @@ def _parse_sweep_spec(data) -> SweepSpec:
     if not 1 <= rank <= contact_nodes:
         raise InputError(f"load_node_rank must be in 1..{contact_nodes}, the "
                          f"contact nodes of every variant, got {rank}")
-    solver_cfg = SolverConfig(**_numbers("solver", data.get("solver", {}),
-                                         SOLVER_KEYS))
+    solver_cfg = SolverConfig(**known_keys("solver", data.get("solver", {}),
+                                           SolverConfig.__dataclass_fields__))
     probe = dict(DEFAULT_PROBE)
     probe.update(_numbers("probe", data.get("probe", {}), DEFAULT_PROBE))
     if not (0 <= probe["f_lo"] < probe["f_hi"] and probe["resolution"] > 0):
@@ -212,23 +208,10 @@ def _parse_sweep_spec(data) -> SweepSpec:
                      direction)
 
 
-def _known_keys(section: str, entries: dict, keys) -> dict:
-    """entries, or InputError when it holds a key outside ``keys``."""
-    unknown = sorted(set(entries) - set(keys))
-    if unknown:
-        raise InputError(f"{section}: unknown key(s) {unknown}, expected "
-                         f"some of {list(keys)}")
-    return entries
-
-
-def _numbers(section: str, entries, keys,
-             integers=("n_inc", "maxiter")) -> dict:
-    """A document section of the given keys whose values are all numbers,
-    integers under the keys in ``integers`` (by default SolverConfig's
-    counts)."""
-    if not isinstance(entries, dict):
-        raise InputError(f"{section} must be an object, got {entries!r}")
-    for key, value in _known_keys(section, entries, keys).items():
+def _numbers(section: str, entries, keys, integers=()) -> dict:
+    """A section of the given keys whose values are numbers, integers under
+    the keys in ``integers``."""
+    for key, value in known_keys(section, entries, keys).items():
         typed(f"{section}.{key}", value, int if key in integers else float)
     return entries
 

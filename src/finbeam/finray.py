@@ -45,8 +45,7 @@ angle near 31 degrees, well short of the design range).
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -56,7 +55,10 @@ from .model import (
     LoadCase,
     Structure,
     build_structure,
+    known_keys,
     load_case,
+    structure_to_dict,
+    typed_fields,
 )
 
 CONNECTION_SIMPLE = "simple"
@@ -81,7 +83,8 @@ class FinRayParams:
     """The four design parameters plus material/section data.
 
     Angles in degrees; all lengths in metres, modulus in Pa. ``refinement``
-    is the number of co-rotational elements per physical segment.
+    is the number of co-rotational elements per physical segment. Each
+    field is of its annotated type, numbers finite and never bools.
     """
 
     width: float = 40e-3
@@ -96,15 +99,9 @@ class FinRayParams:
     refinement: int = 4
 
     def __post_init__(self):
-        # field.type is the annotation's text; a bool is no count or length
-        kinds = {"int": (numbers.Integral, "an integer"),
-                 "float": (numbers.Real, "a number"), "str": (str, "a string")}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind, noun = kinds[field.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{field.name} must be {noun}, got {value!r}")
-        for name in ("width", "height", "section_b", "section_h", "e_modulus"):
+        typed_fields(self)
+        for name in ("width", "height", "section_b", "section_h", "e_modulus",
+                     "refinement"):
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)}")
@@ -119,8 +116,13 @@ class FinRayParams:
         if self.connection not in (CONNECTION_SIMPLE, CONNECTION_RIGID):
             raise ValueError(f"connection must be 'simple' or 'rigid', "
                              f"got {self.connection!r}")
-        if self.refinement < 1:
-            raise ValueError("refinement must be >= 1")
+        try:
+            finite = math.isfinite(self.area) and math.isfinite(self.inertia)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"section_b = {self.section_b} and section_h = "
+                             f"{self.section_h} overflow the area or inertia")
 
     @property
     def n_contact_nodes(self) -> int:
@@ -141,13 +143,8 @@ class FinRayParams:
 
 def params_from_dict(data: Mapping) -> FinRayParams:
     """Build FinRayParams from a JSON document, rejecting unknown keys."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"parameters must be an object, got {data!r}")
-    known = FinRayParams.__dataclass_fields__
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
-    return FinRayParams(**data)
+    return FinRayParams(**known_keys("parameters", data,
+                                     FinRayParams.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -292,8 +289,6 @@ def load_at_contact_node(
 
 def model_to_dict(model: FinRayModel) -> dict:
     """Structure document extended with the contact-node ids."""
-    from .model import structure_to_dict
-
     doc = structure_to_dict(model.structure)
     doc["contact_nodes"] = list(model.contact_nodes)
     return doc

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -63,8 +63,9 @@ class Node:
 class ElementProps:
     """Material and section data of one element.
 
-    ``kind`` is either ``"beam"`` (moment-carrying at both ends) or
-    ``"pin-ended"`` (moment-free at both ends, axial force only).
+    E, A and I are finite positive numbers, never bools. ``kind`` is either
+    ``"beam"`` (moment-carrying at both ends) or ``"pin-ended"``
+    (moment-free at both ends, axial force only).
     """
 
     e_modulus: float
@@ -73,6 +74,7 @@ class ElementProps:
     kind: str = KIND_BEAM
 
     def __post_init__(self):
+        typed_fields(self)
         if self.e_modulus <= 0 or self.area <= 0 or self.inertia <= 0:
             raise ModelError(
                 f"element properties must be positive, got E={self.e_modulus}, "
@@ -442,9 +444,21 @@ def structure_from_dict(data: Mapping) -> Structure:
     return build_structure(nodes, specs, supports)
 
 
+def known_keys(section: str, entries, keys) -> Mapping:
+    """entries, or ModelError if it is no object or has a key not in keys."""
+    if not isinstance(entries, Mapping):
+        raise ModelError(f"{section} must be an object, got {entries!r:.40}")
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise ModelError(f"{section}: unknown key(s) {unknown}, expected "
+                         f"some of {list(keys)}")
+    return entries
+
+
 _KINDS = {int: (numbers.Integral, "an integer"), str: (str, "a string"),
           float: (numbers.Real, "a finite number"),
           bool: ((bool, np.bool_), "a boolean")}
+_BY_NAME = {kind.__name__: kind for kind in _KINDS}
 
 
 def typed(name: str, value, kind: type):
@@ -457,3 +471,9 @@ def typed(name: str, value, kind: type):
             or kind is float and not abs(value) <= sys.float_info.max):
         raise ModelError(f"{name} must be {noun}, got {value!r:.40}")
     return kind(value)
+
+
+def typed_fields(instance) -> None:
+    """typed on each dataclass field, of the kind its annotation text names."""
+    for field in fields(instance):
+        typed(field.name, getattr(instance, field.name), _BY_NAME[field.type])

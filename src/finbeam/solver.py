@@ -32,7 +32,8 @@ from .assembly import (
     solve_linear,
     update_member_data,
 )
-from .model import LoadCase, Structure, SupportSet, make_load_case
+from .model import (LoadCase, Structure, SupportSet, make_load_case,
+                    typed_fields)
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +59,9 @@ class BracketInvalid(ValueError):
 class SolverConfig:
     """Stepping and convergence controls.
 
-    tolerance is the force-residual norm threshold in Newtons, finite and
-    positive; maxiter bounds the corrector iterations per increment.
+    n_inc and maxiter are integers of at least 1, never bools; maxiter
+    bounds the corrector iterations per increment. tolerance is the
+    force-residual norm threshold in Newtons, finite and positive.
     """
 
     n_inc: int = 10
@@ -67,13 +69,12 @@ class SolverConfig:
     maxiter: int = 100
 
     def __post_init__(self):
-        if self.n_inc < 1:
-            raise ValueError("n_inc must be at least 1")
         # a NaN or infinite tolerance would accept any residual unchecked
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be at least 1")
+        typed_fields(self)
+        for name in ("n_inc", "tolerance", "maxiter"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

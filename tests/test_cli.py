@@ -322,9 +322,17 @@ class TestSweep:
     ("sweep", {**sweep_spec(values=(3,)), "load_node_rank": 99}),
     ("sweep", {**sweep_spec(values=(3,)), "values": 3}),
     ("sweep", {**sweep_spec(values=(3,)), "base_params": {"refinement": 2.5}}),
+    # json.dumps writes these as Infinity, so the documents carry them
+    ("generate", {"e_modulus": math.inf}),
+    ("generate", {"width": math.inf}),
+    ("generate", {"section_h": 1e308}),
+    ("sweep", {**sweep_spec(values=(3,)),
+               "base_params": {"e_modulus": math.inf}}),
 ], ids=["string-count", "params-list", "load-list", "force-string",
         "forces-object", "force-list-value", "sweep-list", "direction-number",
-        "rank-past-tip", "values-number", "fractional-refinement"])
+        "rank-past-tip", "values-number", "fractional-refinement",
+        "infinite-modulus", "infinite-width", "overflowing-section",
+        "sweep-infinite-modulus"])
 def test_malformed_document_exits_2(tmp_path, structure_file, capsys,
                                     command, document):
     doc = write_json(tmp_path / "doc.json", document)

@@ -45,6 +45,8 @@ class TestParams:
         {"n_crossbeams": "3"}, {"n_crossbeams": 2.5}, {"n_crossbeams": True},
         {"refinement": 2.5}, {"height": "0.07"}, {"top_angle": None},
         {"e_modulus": True}, {"connection": 1},
+        # section_h**3 overflows the inertia
+        {"section_h": 1e308},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

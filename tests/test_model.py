@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from finbeam import (
     ElementProps,
     FinRayParams,
     ModelError,
+    SolverConfig,
     SupportSet,
     UnconstrainedStructure,
     UnknownNode,
@@ -94,6 +97,23 @@ def test_props_validation():
         ElementProps(2e7, 0.0, 1e-12)
     with pytest.raises(ModelError):
         ElementProps(2e7, 2e-5, 1e-12, kind="welded")
+
+
+# values outside each field type: a bool is no number and no count, and a
+# number must be finite
+MISTYPED = {float: (math.nan, math.inf, -math.inf, True), int: (True, 2.5),
+            str: (1,)}
+
+
+@pytest.mark.parametrize("valid", [props(), FinRayParams(), SolverConfig()],
+                         ids=lambda valid: type(valid).__name__)
+def test_every_field_rejects_values_outside_its_type(valid):
+    # read from the fields, so that a field added later is covered too
+    hints = typing.get_type_hints(type(valid))
+    for field in dataclasses.fields(valid):
+        for value in MISTYPED[hints[field.name]]:
+            with pytest.raises(ValueError, match=field.name):
+                dataclasses.replace(valid, **{field.name: value})
 
 
 def chain(n):
