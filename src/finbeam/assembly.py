@@ -91,7 +91,7 @@ class DegenerateElement(RuntimeError):
     """The two displaced nodes of an element (nearly) coincide."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementState:
     """Chords and local forces of every element at one displacement state,
     built by ``update_member_data`` and read by ``assemble_tangent``.
@@ -102,7 +102,9 @@ class ElementState:
     on access, for readers other than the kernels: ``r`` and ``z`` (n, 6),
     the axial directions [-c, -s, 0, c, s, 0] and their perpendiculars
     [s, -c, 0, -s, c, 0], and ``b`` (n, 3, 6), B = [r; e3 - z/L; e6 - z/L],
-    which maps global increments to local ones."""
+    which maps global increments to local ones. Not frozen: a frozen
+    dataclass's __init__ costs four times as much, once per Newton
+    iteration."""
 
     length: np.ndarray
     cs: np.ndarray
@@ -197,16 +199,16 @@ def current_geometry(
     nodes (nearly) coincide. A non-finite displacement gives non-finite
     geometry (and numpy warnings, which update_member_data silences).
     """
-    l0 = structure.element_l0
     chord = structure.element_chord0.T + (p.T[3:5] - p.T[:2])
     length = np.hypot(chord[0], chord[1])
-    degenerate = length <= 1e-14 * l0
+    degenerate = length <= structure.element_min_length
     if degenerate.any():
         index = np.flatnonzero(degenerate)[0]
         raise DegenerateElement(
             f"element {index}: displaced nodes coincide (length "
-            f"{length[index]:.3e} from l0 {l0[index]:.3e})")
-    columns = np.empty((4, len(l0)))
+            f"{length[index]:.3e} from l0 "
+            f"{structure.element_l0[index]:.3e})")
+    columns = np.empty((4, len(length)))
     np.divide(chord, length, out=columns[:2])
     np.divide(columns[:2], length, out=columns[2:])
     return length, columns.T
@@ -226,7 +228,7 @@ def update_member_data(
     in element order. A non-finite displacement gives a non-finite F_int,
     not an exception, so the solver can end the solve as diverged.
     """
-    rows = displacement[structure.element_dofs.T]
+    rows = displacement[structure.element_dof_rows]
     with np.errstate(invalid="ignore", over="ignore"):
         length, cs = current_geometry(structure, rows.T)
         beta = np.arctan2(cs[:, 1], cs[:, 0])
@@ -234,8 +236,7 @@ def update_member_data(
         np.subtract(length, structure.element_l0, out=local[0])
         np.add(rows[2::3], structure.element_beta0 - beta, out=local[1:])
         _wrap_angles(local[1:])
-        local[0] *= structure.element_moduli[0]  # now N
-        local[1:] *= structure.element_moduli[1]
+        local *= structure.element_local_moduli  # local[0] is now N
         weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
         state = ElementState(length, cs, local[0], weights[4], weights[5])
         weights[:4] *= cs.T
@@ -263,10 +264,9 @@ def element_tangent_stiffness(
     M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
     """
     n_el = len(state.length)
-    rows = np.empty((9, n_el))  # (EA/L0, EI/L0, N, M1+M2), then x
-    rows[:2] = structure.element_moduli
+    # (EA/L0, EI/L0, N, M1+M2), then x
+    rows = structure.element_tangent_rows.copy()
     rows[2] = state.n_axial
-    rows[4] = 1.0
     rows[5:] = state.cs.T
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(state.m1, state.m2, out=rows[3])
@@ -327,8 +327,9 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """
     factor, x, info = dpbsv(band, rhs, lower=1)
     diagonal = factor[0]
-    if info == 0 and np.all(diagonal >= _SINGULAR_CHOLESKY_RATIO
-                            * diagonal.max(initial=0.0)):
+    # a NaN fails the comparison and so takes the L D L^T path
+    if info == 0 and (diagonal.min()
+                      >= _SINGULAR_CHOLESKY_RATIO * diagonal.max()):
         return x, 0
 
     offset, column = np.indices(band.shape)

@@ -170,9 +170,23 @@ class Structure:
              for e in self.elements], np.intp).reshape(len(self.elements), 6)
 
     @cached_property
+    def element_dof_rows(self) -> np.ndarray:
+        """(6, n_elements) element_dofs transposed, C-contiguous, so that a
+        gather through it gives one row per local DOF; read-only."""
+        rows = np.ascontiguousarray(self.element_dofs.T)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def element_l0(self) -> np.ndarray:
         """(n_elements,) reference lengths, read-only."""
         return _read_only([e.l0 for e in self.elements])
+
+    @cached_property
+    def element_min_length(self) -> np.ndarray:
+        """(n_elements,) 1e-14 * L0, the chord length at or below which an
+        element is degenerate; read-only."""
+        return _read_only(1e-14 * self.element_l0)
 
     @cached_property
     def element_beta0(self) -> np.ndarray:
@@ -197,6 +211,38 @@ class Structure:
              [0.0 if e.props.kind == KIND_PIN
               else e.props.e_modulus * e.props.inertia / e.l0
               for e in self.elements]])
+
+    @cached_property
+    def element_local_moduli(self) -> np.ndarray:
+        """(3, n_elements) rows EA/L0, EI/L0, EI/L0: element_moduli with its
+        second row repeated, one row for each local deformation [u_l,
+        theta_1l, theta_2l]; read-only."""
+        return _read_only(self.element_moduli[[0, 1, 1]])
+
+    @cached_property
+    def element_tangent_rows(self) -> np.ndarray:
+        """(9, n_elements) template of element_tangent_stiffness's rows
+        (EA/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L) with the moduli and
+        the row of ones filled in and zeros in the state's rows;
+        read-only."""
+        rows = np.zeros((9, len(self.elements)))
+        rows[:2] = self.element_moduli
+        rows[4] = 1.0
+        return _read_only(rows)
+
+    @cached_property
+    def unloaded(self) -> tuple:
+        """(state, f_int, tangent) at zero displacement, where every solve
+        and probe starts: the ElementState and internal force of
+        update_member_data and the free-DOF band of assemble_tangent, every
+        array read-only."""
+        from .assembly import assemble_tangent, update_member_data
+        state, f_int = update_member_data(self, np.zeros(self.n_dof))
+        tangent = assemble_tangent(self, state)
+        for arr in (state.length, state.cs, state.n_axial, state.m1,
+                    state.m2, f_int, tangent):
+            arr.setflags(write=False)
+        return state, f_int, tangent
 
     @cached_property
     def free_band(self) -> FreeBand:
@@ -249,7 +295,9 @@ def build_structure(
     Nodes may be given as Node instances or (id, x, y) tuples; elements as
     (node_i, node_j, props) with reference length and orientation computed
     from the node coordinates. Raises DuplicateNode, DanglingElement,
-    Disconnected or UnconstrainedStructure on malformed input.
+    Disconnected or UnconstrainedStructure on malformed input, and
+    ModelError when every DOF is fixed or an element's EA/L0 or EI/L0 is
+    not finite.
     """
     node_list = [n if isinstance(n, Node) else Node(*n) for n in nodes]
     seen: set[int] = set()
@@ -292,9 +340,23 @@ def build_structure(
         raise UnconstrainedStructure(
             "no translational DOF is constrained; structure is a mechanism")
 
+    if len(supports.dofs) == 3 * n_nodes:
+        raise ModelError("every DOF is fixed; the structure has no free DOF "
+                         "to solve for")
+
     _check_connected(n_nodes, elements)
 
-    return Structure(tuple(node_list), tuple(elements), supports, 3 * n_nodes)
+    structure = Structure(tuple(node_list), tuple(elements), supports,
+                          3 * n_nodes)
+    overflowed = ~np.isfinite(structure.element_moduli).all(axis=0)
+    if overflowed.any():
+        index = int(np.flatnonzero(overflowed)[0])
+        e = elements[index]
+        raise ModelError(
+            f"element {index} ({e.node_i}, {e.node_j}): EA/L0 or EI/L0 "
+            f"overflows (E={e.props.e_modulus}, A={e.props.area}, "
+            f"I={e.props.inertia}, L0={e.l0})")
+    return structure
 
 
 def _check_connected(n_nodes: int, elements: Sequence[Element]) -> None:

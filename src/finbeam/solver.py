@@ -25,7 +25,6 @@ import numpy as np
 
 from .assembly import (
     DegenerateElement,
-    ElementState,
     SingularMatrix,
     apply_supports,
     assemble_tangent,
@@ -170,34 +169,38 @@ def solve(
         direction = f_total / (np.linalg.norm(f_total) or 1.0)
     band = structure.free_band
     order = band.order
+    d_f_free = apply_supports(d_f, band)
     u = np.zeros(structure.n_dof)
-    states, _ = update_member_data(structure, u)
+    states, _, k_s = structure.unloaded
     records: list[IncrementRecord] = []
     prev_step = math.inf
 
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
-            step, negative = solve_linear(assemble_tangent(structure, states),
-                                          apply_supports(d_f, band))
+            if n > 1:
+                k_s = assemble_tangent(structure, states)
+            step, negative = solve_linear(k_s, d_f_free)
             if negative > 0 and records:
                 log.info("increment %d converged to an indefinite tangent",
                          n - 1)
                 return SolveResult(records[:-1], "indefinite")
 
-            du = np.zeros(structure.n_dof)
-            du[order] = step
-            u_trial = u + du
+            # the trial state is (u + du) + delta_u, added on the free DOFs
+            # only: the fixed DOFs stay exactly 0
+            base = u.copy()
+            base[order] += step
+            u_trial = base
             states, f_int = update_member_data(structure, u_trial)
             r_vec, r_norm = residual(f_int, f_ext, structure.supports)
 
-            delta_u = np.zeros(structure.n_dof)
+            delta_u = np.zeros(len(order))
             iterations = 0
             while r_norm > config.tolerance and iterations < config.maxiter:
-                delta_u[order] -= solve_linear(
-                    assemble_tangent(structure, states),
-                    apply_supports(r_vec, band))[0]
-                u_trial = u + du + delta_u
+                delta_u -= solve_linear(assemble_tangent(structure, states),
+                                        apply_supports(r_vec, band))[0]
+                u_trial = base.copy()
+                u_trial[order] += delta_u
                 states, f_int = update_member_data(structure, u_trial)
                 r_vec, r_norm = residual(f_int, f_ext, structure.supports)
                 iterations += 1
@@ -223,7 +226,7 @@ def solve(
         u = u_trial
         log.debug("increment %d converged in %d iterations (residual %.3e)",
                   n, iterations, r_norm)
-        records.append(IncrementRecord(n, u.copy(), iterations, r_norm))
+        records.append(IncrementRecord(n, u, iterations, r_norm))
 
     return SolveResult(records, None)
 
@@ -309,10 +312,10 @@ def _trace(
     lam >= 1 (see probe_max_force). Each converged state's tangent is
     factored once: its negative-eigenvalue count audits the state and its
     solve gives the next predictor."""
-    u = np.zeros(structure.n_dof)
-    states, f_int = update_member_data(structure, u)
+    f_free = apply_supports(f_ref, structure.free_band)
+    _, f_int, k_s = structure.unloaded
     r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
-    good = _audited(structure, f_ref, u, 0.0, states, r_vec)
+    good = _audited(k_s, f_free, np.zeros(structure.n_dof), 0.0, r_vec)
     if good is None:
         log.info("probe: the unloaded tangent is not positive definite")
         return 0.0
@@ -329,8 +332,9 @@ def _trace(
                 return _carried(good, f_ref)
             arc *= 0.5
             continue
-        state, iterations = step
-        audited = _audited(structure, f_ref, *state)
+        (u, lam, states, r_vec), iterations = step
+        audited = _audited(assemble_tangent(structure, states), f_free, u,
+                           lam, r_vec)
         if audited is not None:
             good, cuts = audited, 0
             if good.lam >= 1.0:
@@ -340,7 +344,7 @@ def _trace(
                     ARC_TARGET_ITERATIONS / max(iterations, 1)))
             continue
         log.debug("probe: instability between load factors %.6g and %.6g",
-                  good.lam, state[1])
+                  good.lam, lam)
         if arc / np.linalg.norm(good.x_f) <= lam_resolution:
             return _carried(good, f_ref)
         refining = True
@@ -356,18 +360,17 @@ def _carried(state: _PathState, f_ref: np.ndarray) -> float:
 
 
 def _audited(
-    structure: Structure,
-    f_ref: np.ndarray,
+    k_s: np.ndarray,
+    f_free: np.ndarray,
     u: np.ndarray,
     lam: float,
-    states: ElementState,
     r_vec: np.ndarray,
 ) -> Optional[_PathState]:
     """The converged state with its predictor direction, or None when its
-    tangent has a negative eigenvalue or is singular."""
-    rhs = apply_supports(f_ref, structure.free_band)
+    tangent band k_s has a negative eigenvalue or is singular. f_free is
+    f_ref in band order."""
     try:
-        x_f, negative = solve_linear(assemble_tangent(structure, states), rhs)
+        x_f, negative = solve_linear(k_s, f_free)
     except SingularMatrix:
         return None
     return None if negative else _PathState(u, lam, r_vec, x_f)

@@ -6,8 +6,10 @@ with an adaptive Runge-Kutta scheme plus curvature shooting, tangent
 matrices are checked against plain central differences, the batched
 element kernels against a scalar co-rotational element evaluated one
 element at a time, and the band assembly against a dense scatter. Only
-that scatter, ``dense_tangent``, imports from ``finbeam``: it places the
-package's own element tangents, so that only the placement is checked.
+two oracles import from ``finbeam``: that scatter, ``dense_tangent``,
+places the package's own element tangents, so that only the placement is
+checked, and ``plain_solve`` runs the Newton loop on the package's public
+kernels, so that only the loop's bookkeeping is checked.
 """
 
 import math
@@ -16,7 +18,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from finbeam.assembly import element_tangent_stiffness
+from finbeam.assembly import (
+    DegenerateElement,
+    SingularMatrix,
+    apply_supports,
+    assemble_tangent,
+    element_tangent_stiffness,
+    solve_linear,
+    update_member_data,
+)
+from finbeam.solver import SNAP_JUMP_RATIO, residual
 
 
 def elastica_cantilever_tip(alpha):
@@ -170,3 +181,58 @@ def dense_tangent(structure, state):
     for dofs, k_e in zip(structure.element_dofs, k_el):
         k[np.ix_(dofs, dofs)] += k_e
     return k
+
+
+def plain_solve(structure, load_case, config):
+    """The force-controlled Newton path of ``finbeam.solve``, written
+    plainly: every state from update_member_data, every tangent from
+    assemble_tangent, the unloaded one included, and full-length
+    displacement vectors, the trial state (u + du) + delta_u. Returns the
+    (n, displacement, iterations, residual norm) of each converged
+    increment and the cause that ended the path (None when it completed).
+    """
+    n_dof = structure.n_dof
+    band = structure.free_band
+    f_total = load_case.f_total
+    d_f = f_total / config.n_inc
+    with np.errstate(over="ignore"):
+        direction = f_total / (np.linalg.norm(f_total) or 1.0)
+    u = np.zeros(n_dof)
+    states, _ = update_member_data(structure, u)
+    records = []
+    prev_step = math.inf
+    for n in range(1, config.n_inc + 1):
+        f_ext = (n / config.n_inc) * f_total
+        try:
+            step, negative = solve_linear(assemble_tangent(structure, states),
+                                          apply_supports(d_f, band))
+            if negative > 0 and records:
+                return records[:-1], "indefinite"
+            du = np.zeros(n_dof)
+            du[band.order] = step
+            u_trial = u + du
+            states, f_int = update_member_data(structure, u_trial)
+            r_vec, r_norm = residual(f_int, f_ext, structure.supports)
+            delta_u = np.zeros(n_dof)
+            iterations = 0
+            while r_norm > config.tolerance and iterations < config.maxiter:
+                delta_u[band.order] -= solve_linear(
+                    assemble_tangent(structure, states),
+                    apply_supports(r_vec, band))[0]
+                u_trial = u + du + delta_u
+                states, f_int = update_member_data(structure, u_trial)
+                r_vec, r_norm = residual(f_int, f_ext, structure.supports)
+                iterations += 1
+        except (SingularMatrix, DegenerateElement) as exc:
+            return records, type(exc).__name__
+        if not math.isfinite(r_norm):
+            return records, "non-finite"
+        if r_norm > config.tolerance:
+            return records, "no convergence"
+        step = float(direction @ (u_trial - u))
+        if prev_step > 1e-15 and step / prev_step > SNAP_JUMP_RATIO:
+            return records, "snap"
+        prev_step = step
+        u = u_trial
+        records.append((n, u.copy(), iterations, r_norm))
+    return records, None

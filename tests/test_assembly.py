@@ -336,6 +336,47 @@ class TestSolveLinear:
             assert single_negative == negative
         assert (negative > 0) == (shift > 0)
 
+    @staticmethod
+    def counted_dsytrf(monkeypatch):
+        calls = []
+        exact = assembly.dsytrf
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "dsytrf", counted)
+        return calls
+
+    @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0)],
+                             ids=["first-pivot", "pivot", "coupling"])
+    def test_nan_takes_the_ldlt_path(self, monkeypatch, slot):
+        calls = self.counted_dsytrf(monkeypatch)
+        band = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        band[slot] = np.nan
+        with pytest.raises(SingularMatrix, match="pivot ratio nan"):
+            solve_linear(band, np.array([1.0, 2.0, 3.0]))
+        assert calls == [(3, 3)]
+
+    @pytest.mark.parametrize("share", [0.999, 1.001], ids=["under", "over"])
+    def test_cholesky_pivot_at_the_singular_ratio(self, monkeypatch, share):
+        # pivots 1, share * SINGULAR_PIVOT_RATIO and 1: just under the
+        # ratio the Cholesky factor is refused and L D L^T finds the same
+        # pivot too small; just over it, the Cholesky solve stands
+        calls = self.counted_dsytrf(monkeypatch)
+        pivot = share * assembly.SINGULAR_PIVOT_RATIO
+        band = np.array([[1.0, pivot, 1.0]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        if share < 1.0:
+            with pytest.raises(SingularMatrix, match="pivot ratio 9.990e-13"):
+                solve_linear(band, rhs)
+            assert calls == [(3, 3)]
+        else:
+            x, negative = solve_linear(band, rhs)
+            assert x == pytest.approx([1.0, 2.0 / pivot, 3.0], rel=1e-14)
+            assert negative == 0
+            assert calls == []
+
     @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
     def test_negative_count_matches_eigenvalues(self, rng, n_negative):
         n = 30

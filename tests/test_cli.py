@@ -51,6 +51,16 @@ class TestGenerate:
         bad = write_json(tmp_path / "p.json", {"top_angle": 120.0})
         assert main(["generate", bad, str(tmp_path / "out.json")]) == 2
 
+    def test_overflowing_moduli_exit_2(self, tmp_path, capsys):
+        # E and the section are finite, but EA/L0 is not: such a model
+        # could only end its solve as singular
+        params = write_json(tmp_path / "p.json",
+                            {"e_modulus": 1e300, "section_b": 1e10})
+        out = tmp_path / "out.json"
+        assert main(["generate", params, str(out)]) == 2
+        assert "EA/L0 or EI/L0 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_crossbeams_valid(self, tmp_path):
         p = write_json(tmp_path / "p.json", {"n_crossbeams": 0})
         out = tmp_path / "out.json"
@@ -143,6 +153,18 @@ class TestSolve:
         code = main(["solve", structure_file, load, str(tmp_path / "r.csv"),
                      "--tolerance", tolerance])
         assert code == 2
+
+    def test_every_dof_fixed_exits_2(self, tmp_path, structure_file,
+                                     capsys):
+        doc = json.loads(open(structure_file).read())
+        doc["supports"] = [{"node": node["id"], "u": True, "w": True,
+                            "theta": True} for node in doc["nodes"]]
+        structure = write_json(tmp_path / "fixed.json", doc)
+        load = write_json(tmp_path / "load.json", {"forces": []})
+        out = tmp_path / "r.csv"
+        assert main(["solve", structure, load, str(out)]) == 2
+        assert "no free DOF" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_load_on_support_exits_2(self, tmp_path, structure_file):
         load = write_json(tmp_path / "load.json",

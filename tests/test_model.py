@@ -18,11 +18,13 @@ from finbeam import (
     SupportSet,
     UnconstrainedStructure,
     UnknownNode,
+    assemble_tangent,
     build_structure,
     generate,
     load_case,
     structure_from_dict,
     structure_to_dict,
+    update_member_data,
 )
 from conftest import STUDY_FINGERS
 
@@ -82,6 +84,28 @@ def test_unconstrained_rejected():
     with pytest.raises(UnconstrainedStructure):
         build_structure([(0, 0.0, 0.0), (1, 1.0, 0.0)],
                         [(0, 1, props())], {0: (False, False, True)})
+
+
+def test_every_dof_fixed_rejected():
+    # nothing is left to solve for; the band solve would get an empty system
+    with pytest.raises(ModelError, match="no free DOF"):
+        build_structure([(0, 0.0, 0.0), (1, 1.0, 0.0)], [(0, 1, props())],
+                        {0: FIXED, 1: FIXED})
+
+
+@pytest.mark.parametrize("area, inertia", [(1e10, 1.0), (1e-10, 1e10)],
+                         ids=["EA", "EI"])
+def test_overflowing_moduli_rejected(area, inertia):
+    # E, A and I are finite, but EA/L0 or EI/L0 is not
+    with pytest.raises(ModelError, match="overflows"):
+        build_structure([(0, 0.0, 0.0), (1, 0.01, 0.0)],
+                        [(0, 1, ElementProps(1e300, area, inertia))],
+                        {0: FIXED})
+
+
+def test_overflowing_finger_moduli_rejected():
+    with pytest.raises(ModelError, match="EA/L0 or EI/L0 overflows"):
+        generate(FinRayParams(e_modulus=1e300, section_b=1e10))
 
 
 def test_zero_length_element_rejected():
@@ -263,6 +287,35 @@ def test_band_order_is_a_permutation_of_the_free_dofs(structure):
         np.setdiff1d(np.arange(structure.n_dof), structure.supports.dofs))
     assert not free.order.flags.writeable
     assert not free.slots.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["default", "connection=simple"])
+def test_per_structure_constants(name):
+    structure = generate(STUDY_FINGERS[name]).structure
+    moduli = structure.element_moduli
+    rows = structure.element_dof_rows
+    assert np.array_equal(rows, structure.element_dofs.T)
+    assert rows.flags.c_contiguous
+    assert np.array_equal(structure.element_min_length,
+                          1e-14 * structure.element_l0)
+    assert np.array_equal(structure.element_local_moduli,
+                          moduli[[0, 1, 1]])
+    template = structure.element_tangent_rows
+    assert np.array_equal(template[:2], moduli)
+    assert np.all(template[4] == 1.0)
+    state, f_int, tangent = structure.unloaded
+    fresh_state, fresh_f_int = update_member_data(
+        structure, np.zeros(structure.n_dof))
+    assert np.array_equal(f_int, fresh_f_int)
+    assert np.array_equal(tangent, assemble_tangent(structure, fresh_state))
+    fields = [field.name for field in dataclasses.fields(state)]
+    for field in fields:
+        assert np.array_equal(getattr(state, field),
+                              getattr(fresh_state, field))
+    for arr in (rows, structure.element_min_length,
+                structure.element_local_moduli, template, f_int, tangent,
+                *(getattr(state, field) for field in fields)):
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("name", STUDY_FINGERS)

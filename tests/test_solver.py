@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from finbeam import (
 )
 from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS
 
-from oracles import elastica_cantilever_tip
+from oracles import elastica_cantilever_tip, plain_solve
 from strategies import small_frames
 
 FIXED = (True, True, True)
@@ -389,6 +390,40 @@ def test_path_stops_at_first_snap():
     assert not result.completed
     assert result.diverged_at == 15
     assert len(result.increments) == 14
+
+
+# Each study finger's criterion-6 probe value at refinement 4 (N); top
+# angle 40 still holds at the 4 N bracket end.
+STUDY_LIMIT = {"n_crossbeams=2": 0.71, "default": 1.28, "n_crossbeams=4": 2.23,
+               "top_angle=30": 2.88, "top_angle=40": 4.0,
+               "inclination=-10": 1.07, "inclination=+10": 1.70,
+               "connection=simple": 0.80}
+
+
+@pytest.mark.parametrize("share", [0.8, 1.2], ids=["below", "above"])
+@pytest.mark.parametrize("refinement", [4, 12])
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_solve_is_bit_identical_to_the_plain_newton_loop(
+        name, refinement, share):
+    # below the limit the path completes; above it, it mostly ends in a
+    # snap, a singular tangent or no convergence, depending on finger and
+    # mesh (force control tunnels past the top-angle-30 limit point at
+    # refinement 4, and top angle 40 holds)
+    model = generate(dataclasses.replace(STUDY_FINGERS[name],
+                                         refinement=refinement))
+    case = load_at_contact_node(model, 2, share * STUDY_LIMIT[name],
+                                direction=STUDY_DIRECTION)
+    config = SolverConfig(n_inc=10)
+    result = solve(model.structure, case, config)
+    records, cause = plain_solve(model.structure, case, config)
+    assert result.cause == cause
+    assert len(result.increments) == len(records)
+    for record, (n, displacement, iterations, r_norm) in zip(
+            result.increments, records):
+        assert (record.n, record.iterations) == (n, iterations)
+        assert np.array_equal(record.displacement, displacement)
+        assert record.residual_norm == r_norm
+    assert result.completed or share > 1.0
 
 
 def _apex_load(structure, magnitude):
