@@ -17,11 +17,13 @@ Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
 K_BASIS, both fixed at import. K is assembled straight into the lower
 band of its free DOFs, in reverse Cuthill-McKee order, and factorised:
 by Cholesky when it is positive definite, otherwise as L D L^T, whose
-exact inertia is the stability audit.
+exact inertia is the stability audit. Each public kernel runs
+``silenced``; a solver path, silenced once, calls their ``__wrapped__``.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -98,19 +100,20 @@ class ElementState:
 
     In element order: ``length`` (n,) the chord lengths L, ``cs`` (n, 4)
     the chord columns (c, s, c/L, s/L) of ``current_geometry``, and
-    ``n_axial``, ``m1``, ``m2`` (n,) the local forces [N, M1, M2]. Derived
-    on access, for readers other than the kernels: ``r`` and ``z`` (n, 6),
-    the axial directions [-c, -s, 0, c, s, 0] and their perpendiculars
-    [s, -c, 0, -s, c, 0], and ``b`` (n, 3, 6), B = [r; e3 - z/L; e6 - z/L],
-    which maps global increments to local ones. Not frozen: a frozen
-    dataclass's __init__ costs four times as much, once per Newton
-    iteration."""
+    ``n_axial``, ``m1``, ``m2`` (n,) the local forces [N, M1, M2]; ``cs``
+    and ``n_axial`` view ``rows``, the state's element_tangent_rows (None
+    if built by hand). Derived on access: ``r`` and ``z`` (n, 6), the axial
+    directions [-c, -s, 0, c, s, 0] and their perpendiculars, and ``b``
+    (n, 3, 6), B = [r; e3 - z/L; e6 - z/L], which maps global increments
+    to local ones. Not frozen: a frozen dataclass's __init__ costs four
+    times as much, once per Newton iteration."""
 
     length: np.ndarray
     cs: np.ndarray
     n_axial: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
+    rows: np.ndarray | None = None
 
     @property
     def r(self) -> np.ndarray:
@@ -185,9 +188,18 @@ def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
 _FEATURE_ROWS, K_BASIS = _tangent_basis()
 
 
+def silenced(body):
+    """``body`` inside np.errstate(over="ignore", invalid="ignore")."""
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return body(*args, **kwargs)
+    return functools.update_wrapper(wrapper, body)
+
+
 def current_geometry(
     structure: Structure,
     p: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chord lengths and orientations of every displaced element.
 
@@ -195,25 +207,26 @@ def current_geometry(
     is the reference chord plus the relative nodal translations; nodal
     rotations do not move it. Returns the (n_elements,) lengths L and the
     column-major (n_elements, 4) columns (c, s, c/L, s/L), (c, s) the
-    direction cosines. Raises DegenerateElement when an element's displaced
-    nodes (nearly) coincide. A non-finite displacement gives non-finite
-    geometry (and numpy warnings, which update_member_data silences).
+    direction cosines, transposed from ``out`` if given. Raises
+    DegenerateElement when an element's displaced nodes (nearly) coincide.
+    A non-finite displacement gives non-finite geometry and warnings.
     """
     chord = structure.element_chord0.T + (p.T[3:5] - p.T[:2])
     length = np.hypot(chord[0], chord[1])
     degenerate = length <= structure.element_min_length
-    if degenerate.any():
+    if np.count_nonzero(degenerate):  # a C count, where any() is a reduction
         index = np.flatnonzero(degenerate)[0]
         raise DegenerateElement(
             f"element {index}: displaced nodes coincide (length "
             f"{length[index]:.3e} from l0 "
             f"{structure.element_l0[index]:.3e})")
-    columns = np.empty((4, len(length)))
+    columns = np.empty((4, len(length))) if out is None else out
     np.divide(chord, length, out=columns[:2])
     np.divide(columns[:2], length, out=columns[2:])
     return length, columns.T
 
 
+@silenced
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
@@ -223,29 +236,32 @@ def update_member_data(
     The local deformations are the stretch u_l = L - L0 and the end
     rotations less the chord's rigid turn beta - beta0, wrapped into
     (-pi, pi]; [N, M1, M2] = Cl [u_l, theta_1l, theta_2l] (Cl: see
-    Structure.element_moduli). Each element's B^T [N, M1, M2] is
-    [N c, N s, (M1+M2) c/L, (M1+M2) s/L, M1, M2] @ Q_BASIS, scatter-added
-    in element order. A non-finite displacement gives a non-finite F_int,
-    not an exception, so the solver can end the solve as diverged.
+    Structure.element_moduli), written with the chords into the state's
+    tangent rows. Each element's B^T [N, M1, M2] is [N c, N s, (M1+M2) c/L,
+    (M1+M2) s/L, M1, M2] @ Q_BASIS, scatter-added in element order. A
+    non-finite displacement gives a non-finite F_int, not an exception.
     """
-    rows = displacement[structure.element_dof_rows]
-    with np.errstate(invalid="ignore", over="ignore"):
-        length, cs = current_geometry(structure, rows.T)
-        beta = np.arctan2(cs[:, 1], cs[:, 0])
-        local = np.empty((3, len(length)))  # u_l, theta_1l, theta_2l
-        np.subtract(length, structure.element_l0, out=local[0])
-        np.add(rows[2::3], structure.element_beta0 - beta, out=local[1:])
-        _wrap_angles(local[1:])
-        local *= structure.element_local_moduli  # local[0] is now N
-        weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
-        state = ElementState(length, cs, local[0], weights[4], weights[5])
-        weights[:4] *= cs.T
-        q = weights.T @ Q_BASIS
+    p = displacement[structure.element_dof_rows]
+    rows = structure.element_tangent_rows.copy()
+    length, cs = current_geometry(structure, p.T, rows[5:])
+    beta = np.arctan2(cs[:, 1], cs[:, 0])
+    local = np.empty((3, len(length)))  # u_l, theta_1l, theta_2l
+    np.subtract(length, structure.element_l0, out=local[0])
+    np.add(p[2::3], structure.element_beta0 - beta, out=local[1:])
+    _wrap_angles(local[1:])
+    local *= structure.element_local_moduli  # local[0] is now N
+    rows[2] = local[0]
+    weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
+    np.add(weights[4], weights[5], out=rows[3])
+    state = ElementState(length, cs, rows[2], weights[4], weights[5], rows)
+    weights[:4] *= cs.T
+    q = weights.T @ Q_BASIS
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
                         minlength=structure.n_dof)
     return state, f_int
 
 
+@silenced
 def element_tangent_stiffness(
     structure: Structure,
     state: ElementState,
@@ -263,19 +279,20 @@ def element_tangent_stiffness(
     of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
     M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
     """
-    n_el = len(state.length)
-    # (EA/L0, EI/L0, N, M1+M2), then x
-    rows = structure.element_tangent_rows.copy()
-    rows[2] = state.n_axial
-    rows[5:] = state.cs.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(state.m1, state.m2, out=rows[3])
-        factors = rows[_FEATURE_ROWS]
-        features = factors[0] * factors[1]
-        features *= factors[2]
-        return (features.T @ K_BASIS).reshape(n_el, 6, 6)
+    rows = state.rows  # (EA/L0, EI/L0, N, M1+M2), then x
+    if rows is None:  # a state built by hand
+        rows = np.vstack((structure.element_tangent_rows[:5], state.cs.T))
+        rows[2:4] = state.n_axial, state.m1 + state.m2
+    factors = rows.take(_FEATURE_ROWS, axis=0)  # half the cost of rows[...]
+    features = factors[0] * factors[1]
+    features *= factors[2]
+    return (features.T @ K_BASIS).reshape(len(state.length), 6, 6)
 
 
+_element_tangents = element_tangent_stiffness.__wrapped__
+
+
+@silenced
 def assemble_tangent(
     structure: Structure,
     state: ElementState,
@@ -292,7 +309,7 @@ def assemble_tangent(
     band = structure.free_band
     n_free = len(band.order)
     size = (band.bandwidth + 1) * n_free
-    k_el = element_tangent_stiffness(structure, state)
+    k_el = _element_tangents(structure, state)
     slots = np.bincount(band.slots, weights=k_el.ravel(), minlength=size + 1)
     return slots[:size].reshape(n_free, -1).T
 

@@ -223,8 +223,8 @@ class Structure:
     def element_tangent_rows(self) -> np.ndarray:
         """(9, n_elements) template of element_tangent_stiffness's rows
         (EA/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L) with the moduli and
-        the row of ones filled in and zeros in the state's rows;
-        read-only."""
+        the row of ones filled in and zeros in the rows each state fills in
+        its own copy; read-only."""
         rows = np.zeros((9, len(self.elements)))
         rows[:2] = self.element_moduli
         rows[4] = 1.0
@@ -240,7 +240,7 @@ class Structure:
         state, f_int = update_member_data(self, np.zeros(self.n_dof))
         tangent = assemble_tangent(self, state)
         for arr in (state.length, state.cs, state.n_axial, state.m1,
-                    state.m2, f_int, tangent):
+                    state.m2, state.rows, f_int, tangent):
             arr.setflags(write=False)
         return state, f_int, tangent
 
@@ -297,7 +297,7 @@ def build_structure(
     from the node coordinates. Raises DuplicateNode, DanglingElement,
     Disconnected or UnconstrainedStructure on malformed input, and
     ModelError when every DOF is fixed or an element's EA/L0 or EI/L0 is
-    not finite.
+    neither 0 (a pin-ended element's EI/L0) nor a normal finite float.
     """
     node_list = [n if isinstance(n, Node) else Node(*n) for n in nodes]
     seen: set[int] = set()
@@ -348,14 +348,16 @@ def build_structure(
 
     structure = Structure(tuple(node_list), tuple(elements), supports,
                           3 * n_nodes)
-    overflowed = ~np.isfinite(structure.element_moduli).all(axis=0)
-    if overflowed.any():
-        index = int(np.flatnonzero(overflowed)[0])
+    moduli = structure.element_moduli
+    invalid = ~((moduli == 0.0) | (moduli >= sys.float_info.min)
+                & (moduli <= sys.float_info.max)).all(axis=0)
+    if invalid.any():
+        index = int(np.flatnonzero(invalid)[0])
         e = elements[index]
         raise ModelError(
             f"element {index} ({e.node_i}, {e.node_j}): EA/L0 or EI/L0 "
-            f"overflows (E={e.props.e_modulus}, A={e.props.area}, "
-            f"I={e.props.inertia}, L0={e.l0})")
+            f"overflows or is subnormal (E={e.props.e_modulus}, "
+            f"A={e.props.area}, I={e.props.inertia}, L0={e.l0})")
     return structure
 
 

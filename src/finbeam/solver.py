@@ -12,6 +12,9 @@ design sweeps can observe failures gracefully.
 The maximum-force probe instead follows the path by arc-length
 continuation, which passes the limit points where force control fails,
 and stops at the first state whose tangent is not positive definite.
+
+``solve`` and the probe's ``_trace`` run silenced (assembly.silenced), so
+this module's update_member_data and assemble_tangent are unsilenced bodies.
 """
 
 from __future__ import annotations
@@ -23,18 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (
-    DegenerateElement,
-    SingularMatrix,
-    apply_supports,
-    assemble_tangent,
-    solve_linear,
-    update_member_data,
-)
+from . import assembly
+from .assembly import (DegenerateElement, SingularMatrix, apply_supports,
+                       silenced, solve_linear)
 from .model import (LoadCase, Structure, SupportSet, make_load_case,
                     typed_fields)
 
 log = logging.getLogger(__name__)
+update_member_data = assembly.update_member_data.__wrapped__
+assemble_tangent = assembly.assemble_tangent.__wrapped__
 
 # A load increment whose conjugate displacement step exceeds this multiple
 # of the previous step is read as a snap-through.
@@ -129,11 +129,11 @@ def residual(
     """
     r = f_int - f_ext
     r[supports.dofs] = 0.0
-    # a residual beyond 1e154 N overflows to an infinite norm: non-finite
-    with np.errstate(over="ignore"):
-        return r, float(math.sqrt(r @ r))
+    # beyond 1e154 N the norm overflows to inf, where np.vdot never warns
+    return r, math.sqrt(np.vdot(r, r))
 
 
+@silenced
 def solve(
     structure: Structure,
     load_case: LoadCase,
@@ -165,8 +165,7 @@ def solve(
     """
     f_total = make_load_case(structure, load_case.f_total).f_total
     d_f = f_total / config.n_inc
-    with np.errstate(over="ignore"):
-        direction = f_total / (np.linalg.norm(f_total) or 1.0)
+    direction = f_total / (np.linalg.norm(f_total) or 1.0)
     band = structure.free_band
     order = band.order
     d_f_free = apply_supports(d_f, band)
@@ -300,6 +299,7 @@ class _PathState:
     x_f: np.ndarray
 
 
+@silenced
 def _trace(
     structure: Structure,
     f_ref: np.ndarray,

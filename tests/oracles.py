@@ -6,10 +6,11 @@ with an adaptive Runge-Kutta scheme plus curvature shooting, tangent
 matrices are checked against plain central differences, the batched
 element kernels against a scalar co-rotational element evaluated one
 element at a time, and the band assembly against a dense scatter. Only
-two oracles import from ``finbeam``: that scatter, ``dense_tangent``,
+three oracles import from ``finbeam``: that scatter, ``dense_tangent``,
 places the package's own element tangents, so that only the placement is
-checked, and ``plain_solve`` runs the Newton loop on the package's public
-kernels, so that only the loop's bookkeeping is checked.
+checked, and ``plain_solve`` and ``plain_probe`` run the Newton loop and
+the arc-length continuation on the package's public kernels, so that only
+the loops' bookkeeping is checked.
 """
 
 import math
@@ -27,7 +28,16 @@ from finbeam.assembly import (
     solve_linear,
     update_member_data,
 )
-from finbeam.solver import SNAP_JUMP_RATIO, residual
+from finbeam.model import make_load_case
+from finbeam.solver import (
+    ARC_FIRST_STEP,
+    ARC_MAX_CUTS,
+    ARC_MAX_GROWTH,
+    ARC_MAX_ITERATIONS,
+    ARC_TARGET_ITERATIONS,
+    SNAP_JUMP_RATIO,
+    residual,
+)
 
 
 def elastica_cantilever_tip(alpha):
@@ -236,3 +246,110 @@ def plain_solve(structure, load_case, config):
         u = u_trial
         records.append((n, u.copy(), iterations, r_norm))
     return records, None
+
+
+def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
+    """The arc-length continuation of ``finbeam.probe_max_force``, written
+    plainly: every state from update_member_data, every tangent from
+    assemble_tangent, the unloaded one included, and each trial
+    displacement a full-length vector, the start plus the step scattered
+    from band order. Returns the load carried by the last positive-definite
+    state before the first instability, or None when a positive-definite
+    state reaches f_hi.
+    """
+    band = structure.free_band
+    pattern = np.asarray(load_pattern, dtype=float)
+    f_ref = make_load_case(structure, f_hi * pattern).f_total
+    f_free = apply_supports(f_ref, band)
+
+    def displaced(u, du):
+        step = np.zeros(structure.n_dof)
+        step[band.order] = du
+        return u + step
+
+    def audited(state, u, lam, r_vec):
+        # (u, lam, r_vec, x_f), or None when the tangent is not positive
+        # definite
+        try:
+            x_f, negative = solve_linear(assemble_tangent(structure, state),
+                                         f_free)
+        except SingularMatrix:
+            return None
+        return None if negative else (u, lam, r_vec, x_f)
+
+    def carried(good):
+        _, lam, r_vec, _ = good
+        return f_hi * float(lam + (f_ref @ r_vec) / (f_ref @ f_ref))
+
+    def arc_step(good, arc):
+        # ((u, lam, state, r_vec), corrector iterations), or None
+        u0, lam, _, x_f0 = good
+        d_lam = arc / np.linalg.norm(x_f0)
+        du = d_lam * x_f0
+        lam = lam + d_lam
+        iterations = 0
+        try:
+            while True:
+                u = displaced(u0, du)
+                state, f_int = update_member_data(structure, u)
+                r_vec, r_norm = residual(f_int, lam * f_ref,
+                                         structure.supports)
+                if not math.isfinite(r_norm):
+                    return None
+                if r_norm <= tolerance:
+                    return (u, lam, state, r_vec), iterations
+                if iterations == ARC_MAX_ITERATIONS:
+                    return None
+                iterations += 1
+                x, _ = solve_linear(
+                    assemble_tangent(structure, state),
+                    apply_supports(np.column_stack((f_ref, -r_vec)), band))
+                x_f, x_r = x.T
+                # the root d of ||du + x_r + d x_f|| = arc that turns least
+                # from du (Crisfield 1981)
+                base = du + x_r
+                a = x_f @ x_f
+                b = 2.0 * (x_f @ base)
+                c = base @ base - arc * arc
+                disc = b * b - 4.0 * a * c
+                if not (disc >= 0.0 and a > 0.0):
+                    return None
+                q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+                roots = (q / a, c / q) if q != 0.0 else (0.0, 0.0)
+                d_lam = max(roots) if du @ x_f >= 0 else min(roots)
+                du += x_r + d_lam * x_f
+                lam += d_lam
+        except (SingularMatrix, DegenerateElement):
+            return None
+
+    u = np.zeros(structure.n_dof)
+    state, f_int = update_member_data(structure, u)
+    r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
+    good = audited(state, u, 0.0, r_vec)
+    if good is None:
+        return 0.0
+    arc = ARC_FIRST_STEP * float(np.linalg.norm(good[3]))
+    refining = False
+    cuts = 0
+    while True:
+        step = arc_step(good, arc)
+        if step is None:
+            cuts += 1
+            if cuts > ARC_MAX_CUTS:
+                return carried(good)
+            arc *= 0.5
+            continue
+        (u, lam, state, r_vec), iterations = step
+        checked = audited(state, u, lam, r_vec)
+        if checked is not None:
+            good, cuts = checked, 0
+            if lam >= 1.0:
+                return None
+            if not refining:
+                arc *= min(ARC_MAX_GROWTH, math.sqrt(
+                    ARC_TARGET_ITERATIONS / max(iterations, 1)))
+            continue
+        if arc / np.linalg.norm(good[3]) <= resolution / f_hi:
+            return carried(good)
+        refining = True
+        arc *= 0.5

@@ -61,6 +61,14 @@ class TestGenerate:
         assert "EA/L0 or EI/L0 overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_moduli_exit_2(self, tmp_path, capsys):
+        # EI/L0 is subnormal: solves "completed" at absurd displacements
+        params = write_json(tmp_path / "p.json", {"e_modulus": 1e-300})
+        out = tmp_path / "out.json"
+        assert main(["generate", params, str(out)]) == 2
+        assert "subnormal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_crossbeams_valid(self, tmp_path):
         p = write_json(tmp_path / "p.json", {"n_crossbeams": 0})
         out = tmp_path / "out.json"

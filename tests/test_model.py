@@ -108,6 +108,29 @@ def test_overflowing_finger_moduli_rejected():
         generate(FinRayParams(e_modulus=1e300, section_b=1e10))
 
 
+@pytest.mark.parametrize("area, inertia", [(1e-10, 1.0), (1.0, 1e-12)],
+                         ids=["EA", "EI"])
+def test_subnormal_moduli_rejected(area, inertia):
+    # EA/L0 or EI/L0 below sys.float_info.min: a beam so soft carries any
+    # load at absurd displacements, or solves with denormal arithmetic
+    props = ElementProps(1e-300, area, inertia)
+    with pytest.raises(ModelError, match="subnormal"):
+        build_structure([(0, 0.0, 0.0), (1, 0.01, 0.0)], [(0, 1, props)],
+                        {0: FIXED})
+    # a pin-ended element's EI/L0 is exactly 0 by design
+    pin = ElementProps(1e-300, 1.0, inertia, "pin-ended")
+    build_structure([(0, 0.0, 0.0), (1, 0.01, 0.0)], [(0, 1, pin)],
+                    {0: FIXED})
+
+
+def test_subnormal_finger_moduli_rejected():
+    # EI/L0 is about 1e-309; such a finger "completed" a 0.3 N solve with
+    # displacements of 3e302 m
+    with pytest.raises(ModelError, match="EA/L0 or EI/L0 overflows or is "
+                                         "subnormal"):
+        generate(FinRayParams(e_modulus=1e-300))
+
+
 def test_zero_length_element_rejected():
     with pytest.raises(ModelError):
         build_structure([(0, 0.0, 0.0), (1, 0.0, 0.0)],

@@ -27,9 +27,10 @@ from finbeam import (
     solve,
     update_member_data,
 )
-from conftest import AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS
+from conftest import (AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS,
+                      one_element_frame)
 
-from oracles import elastica_cantilever_tip, plain_solve
+from oracles import elastica_cantilever_tip, plain_probe, plain_solve
 from strategies import small_frames
 
 FIXED = (True, True, True)
@@ -424,6 +425,86 @@ def test_solve_is_bit_identical_to_the_plain_newton_loop(
         assert np.array_equal(record.displacement, displacement)
         assert record.residual_norm == r_norm
     assert result.completed or share > 1.0
+
+
+@pytest.mark.parametrize("resolution", [0.05, 5e-4])
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_probe_is_bit_identical_to_the_plain_continuation(name, resolution):
+    # criterion 6 loading and bracket; top angle 40 still holds at 4 N.
+    # Exact equality, not pinned values: BLAS builds round differently.
+    model = generate(STUDY_FINGERS[name])
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    config = SolverConfig(n_inc=10)
+    expected = plain_probe(model.structure, pattern, config.tolerance, 4.0,
+                           resolution)
+    try:
+        found = probe_max_force(model.structure, pattern, config, 0.05, 4.0,
+                                resolution)
+    except BracketInvalid as exc:
+        assert "still holds" in str(exc)
+        found = None
+    assert found == expected
+    assert (found is None) == (name == "top_angle=40")
+
+
+class Escaped(Exception):
+    """Raised from a replaced kernel to leave a path by an exception."""
+
+
+def _escape(*args):
+    raise Escaped
+
+
+@pytest.mark.parametrize("ending", [
+    "completed", "DegenerateElement", "SingularMatrix", "raised"])
+def test_solve_restores_the_floating_point_error_state(ending, monkeypatch):
+    # solve silences overflow and invalid operations for its own path only;
+    # a return, a divergence caught inside it or an exception escaping it
+    # leaves the caller's np.errstate as it was
+    if ending == "SingularMatrix":
+        # a pin-ended bar has no transverse stiffness
+        pin = ElementProps(E_MOD, AREA, INERTIA, "pin-ended")
+        s = build_structure([(0, 0.0, 0.0), (1, 0.05, 0.0)], [(0, 1, pin)],
+                            {0: FIXED})
+    else:
+        s = one_element_frame(1.0)
+    # EA of compression: the predictor moves the free node onto the clamp
+    force = (-E_MOD * AREA, 0.0, 0.0) if ending == "DegenerateElement" else (
+        0.0, 0.01, 0.0)
+    if ending == "raised":
+        monkeypatch.setattr(finbeam.solver, "solve_linear", _escape)
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        try:
+            result = solve(s, load_case(s, {1: force}), SolverConfig(n_inc=1))
+        except Escaped:
+            result = None
+        assert np.geterr() == before
+    if ending == "raised":
+        assert result is None
+    else:
+        assert result.cause == (None if ending == "completed" else ending)
+
+
+@pytest.mark.parametrize("ending", ["found", "BracketInvalid", "raised"])
+def test_probe_restores_the_floating_point_error_state(ending, monkeypatch):
+    s = von_mises_truss()
+    limit = von_mises_limit_load()
+    # below its limit load the truss still holds at f_hi
+    f_hi = (0.5 if ending == "BracketInvalid" else 2.0) * limit
+    if ending == "raised":
+        monkeypatch.setattr(finbeam.solver, "update_member_data", _escape)
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        try:
+            found = probe_max_force(s, _apex_load(s, 1.0), SolverConfig(),
+                                    0.1 * limit, f_hi, 0.002)
+        except (BracketInvalid, Escaped) as exc:
+            found = type(exc).__name__
+        assert np.geterr() == before
+    expected = {"BracketInvalid": "BracketInvalid", "raised": "Escaped"}
+    assert found == expected.get(ending, pytest.approx(limit, abs=0.002))
 
 
 def _apex_load(structure, magnitude):
