@@ -297,7 +297,7 @@ def build_structure(
     from the node coordinates. Raises DuplicateNode, DanglingElement,
     Disconnected or UnconstrainedStructure on malformed input, and
     ModelError when every DOF is fixed or an element's EA/L0 or EI/L0 is
-    neither 0 (a pin-ended element's EI/L0) nor a normal finite float.
+    not a normal finite float; only a pin-ended element's EI/L0 is 0.
     """
     node_list = [n if isinstance(n, Node) else Node(*n) for n in nodes]
     seen: set[int] = set()
@@ -349,14 +349,15 @@ def build_structure(
     structure = Structure(tuple(node_list), tuple(elements), supports,
                           3 * n_nodes)
     moduli = structure.element_moduli
-    invalid = ~((moduli == 0.0) | (moduli >= sys.float_info.min)
-                & (moduli <= sys.float_info.max)).all(axis=0)
+    normal = (moduli >= sys.float_info.min) & (moduli <= sys.float_info.max)
+    pinned = np.array([e.props.kind == KIND_PIN for e in elements], bool)
+    invalid = ~(normal[0] & (normal[1] | pinned))
     if invalid.any():
         index = int(np.flatnonzero(invalid)[0])
         e = elements[index]
         raise ModelError(
             f"element {index} ({e.node_i}, {e.node_j}): EA/L0 or EI/L0 "
-            f"overflows or is subnormal (E={e.props.e_modulus}, "
+            f"overflows or is subnormal or 0 (E={e.props.e_modulus}, "
             f"A={e.props.area}, I={e.props.inertia}, L0={e.l0})")
     return structure
 

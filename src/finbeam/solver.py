@@ -1,17 +1,19 @@
 """Incremental-iterative Newton-Raphson force-displacement solver.
 
-The total load is applied in ``n_inc`` equal increments. Each increment
-takes a tangent predictor step and then full-Newton corrector iterations
-(tangent reassembled from the current trial state every iteration) until
-the force residual norm over the free DOFs drops below the tolerance.
-The path ends at its first instability: Newton failure, a snap, or a
-negative eigenvalue of a converged tangent, counted exactly from the next
-predictor's factorization. Such an end is reported as data, not raised, so
-design sweeps can observe failures gracefully.
+``solve`` applies the total load in ``n_inc`` equal increments, each a
+tangent predictor step and then full-Newton corrector iterations (tangent
+reassembled from the current trial state every iteration) until the force
+residual norm over the free DOFs drops below the tolerance. The path ends
+at its first instability: Newton failure, a snap, or a negative eigenvalue
+of a converged tangent, counted exactly from the next predictor's
+factorization. Such an end is reported as data, not raised, so design
+sweeps can observe failures gracefully.
 
-The maximum-force probe instead follows the path by arc-length
-continuation, which passes the limit points where force control fails,
-and stops at the first state whose tangent is not positive definite.
+The maximum-force probe follows the path by arc-length continuation, which
+passes the limit points where force control fails, with the same corrector
+(``_correct``) and a constraint that sets the load change. It stops at the
+first state whose tangent is not positive definite, or where a step can no
+longer move the load factor.
 
 ``solve`` and the probe's ``_trace`` run silenced (assembly.silenced), so
 this module's update_member_data and assemble_tangent are unsilenced bodies.
@@ -143,12 +145,11 @@ def solve(
     its first instability.
 
     Per increment n: assemble the tangent's free-DOF band K_s at the last
-    converged state, take the predictor step du = K_s^-1 dF,
-    then iterate delta_u <- delta_u - K_s^-1 R with the tangent
-    reassembled from the current trial state, until ||R|| <= tolerance or
-    maxiter is hit. Each solve runs in band order: the right-hand side's
-    free entries are gathered into it and the solution scattered back, so
-    the fixed DOFs never move.
+    converged state, take the predictor step du = K_s^-1 dF and run the
+    corrector at fixed load from u + du until ||R|| <= tolerance or maxiter
+    is hit. Each solve runs in band order: the right-hand side's free
+    entries are gathered into it and the solution scattered back, so the
+    fixed DOFs never move.
 
     The solve ends with status "diverged", a cause and the history before
     increment ``diverged_at`` on: a singular tangent or a degenerate
@@ -164,18 +165,15 @@ def solve(
     shape, a non-finite entry or a force on a fixed DOF.
     """
     f_total = make_load_case(structure, load_case.f_total).f_total
-    d_f = f_total / config.n_inc
     direction = f_total / (np.linalg.norm(f_total) or 1.0)
     band = structure.free_band
-    order = band.order
-    d_f_free = apply_supports(d_f, band)
+    d_f_free = apply_supports(f_total / config.n_inc, band)
     u = np.zeros(structure.n_dof)
     states, _, k_s = structure.unloaded
     records: list[IncrementRecord] = []
     prev_step = math.inf
 
     for n in range(1, config.n_inc + 1):
-        f_ext = (n / config.n_inc) * f_total
         try:
             if n > 1:
                 k_s = assemble_tangent(structure, states)
@@ -188,21 +186,10 @@ def solve(
             # the trial state is (u + du) + delta_u, added on the free DOFs
             # only: the fixed DOFs stay exactly 0
             base = u.copy()
-            base[order] += step
-            u_trial = base
-            states, f_int = update_member_data(structure, u_trial)
-            r_vec, r_norm = residual(f_int, f_ext, structure.supports)
-
-            delta_u = np.zeros(len(order))
-            iterations = 0
-            while r_norm > config.tolerance and iterations < config.maxiter:
-                delta_u -= solve_linear(assemble_tangent(structure, states),
-                                        apply_supports(r_vec, band))[0]
-                u_trial = base.copy()
-                u_trial[order] += delta_u
-                states, f_int = update_member_data(structure, u_trial)
-                r_vec, r_norm = residual(f_int, f_ext, structure.supports)
-                iterations += 1
+            base[band.order] += step
+            u_trial, _, states, _, r_norm, iterations = _correct(
+                structure, base, np.zeros(len(step)), n / config.n_inc,
+                f_total, config.tolerance, config.maxiter)
         except (SingularMatrix, DegenerateElement) as exc:
             log.info("increment %d failed: %s", n, exc)
             return SolveResult(records, type(exc).__name__)
@@ -258,12 +245,14 @@ def probe_max_force(
     the last positive-definite state at half the arc length until a
     predictor step from that state is worth at most ``resolution`` of load
     and still crosses the instability, and returns the load that state
-    carries. ``config`` supplies the residual tolerance; ``n_inc`` and
-    ``maxiter`` do not step the path. Raises BracketInvalid when
-    f_lo >= f_hi, when a positive-definite state at or past f_hi is reached
-    ("still holds at f_hi") and when the returned force falls below f_lo
-    ("already collapses at f_lo"), and ValueError when f_lo, f_hi or
-    resolution is not finite. Deterministic for fixed inputs.
+    carries. The path also ends at its last state after ARC_MAX_CUTS
+    halvings in a row without convergence, or once a step cannot move the
+    load factor in floating point. ``config`` supplies the residual
+    tolerance; ``n_inc`` and ``maxiter`` do not step the path. Raises
+    BracketInvalid when f_lo >= f_hi, when a positive-definite state at or
+    past f_hi is reached ("still holds at f_hi") and when the returned force
+    falls below f_lo ("already collapses at f_lo"), and ValueError when
+    f_lo, f_hi or resolution is not finite. Deterministic for fixed inputs.
     """
     if not all(map(math.isfinite, (f_lo, f_hi, resolution))):
         raise ValueError("f_lo, f_hi and resolution must be finite, got "
@@ -323,8 +312,19 @@ def _trace(
     refining = False
     cuts = 0
     while True:
-        step = _arc_step(structure, f_ref, tolerance, good, arc)
-        if step is None:
+        # the predictor du = d x_f with d = arc / ||x_f|| > 0: from a
+        # positive-definite state the path rises
+        d_lam = arc / np.linalg.norm(good.x_f)
+        if good.lam + d_lam == good.lam:
+            log.info("probe: steps no longer move load factor %.6g", good.lam)
+            return _carried(good, f_ref)
+        try:
+            u, lam, states, r_vec, r_norm, iterations = _correct(
+                structure, good.u, d_lam * good.x_f, good.lam + d_lam,
+                f_ref, tolerance, ARC_MAX_ITERATIONS, arc)
+        except (SingularMatrix, DegenerateElement):
+            r_norm = math.inf
+        if not r_norm <= tolerance:
             cuts += 1
             if cuts > ARC_MAX_CUTS:
                 log.info("probe: no step from load factor %.6g converges",
@@ -332,7 +332,6 @@ def _trace(
                 return _carried(good, f_ref)
             arc *= 0.5
             continue
-        (u, lam, states, r_vec), iterations = step
         audited = _audited(assemble_tangent(structure, states), f_free, u,
                            lam, r_vec)
         if audited is not None:
@@ -345,7 +344,7 @@ def _trace(
             continue
         log.debug("probe: instability between load factors %.6g and %.6g",
                   good.lam, lam)
-        if arc / np.linalg.norm(good.x_f) <= lam_resolution:
+        if d_lam <= lam_resolution:
             return _carried(good, f_ref)
         refining = True
         arc *= 0.5
@@ -376,52 +375,52 @@ def _audited(
     return None if negative else _PathState(u, lam, r_vec, x_f)
 
 
-def _arc_step(
+def _correct(
     structure: Structure,
+    start: np.ndarray,
+    du: np.ndarray,
+    lam: float,
     f_ref: np.ndarray,
     tolerance: float,
-    start: _PathState,
-    arc: float,
-) -> Optional[tuple[tuple, int]]:
-    """One cylindrical arc-length step of length ``arc`` from ``start``.
-
-    The predictor is the tangent step du = d x_f with d = arc / ||x_f|| > 0:
-    from a positive-definite state the path rises. Each corrector solves
+    maxiter: int,
+    arc: Optional[float] = None,
+) -> tuple:
+    """Newton corrector on the path F_ext = lam * f_ref from the trial state
+    start + du, du in band order on the free DOFs. With ``arc`` None the
+    load stays fixed and du <- du - K^-1 R; otherwise each iteration solves
     K [x_f, x_r] = [f_ref, -R] with one factorization and takes the load
     change d that keeps ||du + x_r + d x_f|| = arc, the root whose step
-    turns least from du (Crisfield 1981). Returns ((u, lam, states, r_vec),
-    corrector iterations), or None when the step does not converge within
-    ARC_MAX_ITERATIONS, the constraint has no real root, or the state turns
-    singular, degenerate or non-finite.
-    """
+    turns least from du (Crisfield 1981). Returns (u, lam, states, r_vec,
+    r_norm, iterations) once ||R|| <= tolerance, ||R|| is NaN (or infinite
+    on the arc), maxiter iterations are spent or the arc has no real root.
+    Raises SingularMatrix and DegenerateElement."""
     band = structure.free_band
-    d_lam = arc / np.linalg.norm(start.x_f)
-    du = d_lam * start.x_f
-    lam = start.lam + d_lam
+    f_ext = lam * f_ref
     iterations = 0
-    try:
-        while True:
-            u = start.u.copy()
-            u[band.order] += du
-            states, f_int = update_member_data(structure, u)
-            r_vec, r_norm = residual(f_int, lam * f_ref, structure.supports)
-            if not math.isfinite(r_norm):
-                return None
-            if r_norm <= tolerance:
-                return (u, lam, states, r_vec), iterations
-            if iterations == ARC_MAX_ITERATIONS:
-                return None
-            iterations += 1
-            rhs = apply_supports(np.column_stack((f_ref, -r_vec)), band)
-            x, _ = solve_linear(assemble_tangent(structure, states), rhs)
-            x_f, x_r = x.T
-            d_lam = _arc_root(x_f, du + x_r, arc, du @ x_f >= 0)
-            if d_lam is None:
-                return None
-            du += x_r + d_lam * x_f
-            lam += d_lam
-    except (SingularMatrix, DegenerateElement):
-        return None
+    while True:
+        u = start.copy()
+        u[band.order] += du
+        states, f_int = update_member_data(structure, u)
+        r_vec, r_norm = residual(f_int, f_ext, structure.supports)
+        # force control iterates on from an infinite norm, which may be the
+        # overflowed sum of finite forces; the arc stops there
+        if (not r_norm > tolerance or iterations == maxiter
+                or arc is not None and r_norm == math.inf):
+            return u, lam, states, r_vec, r_norm, iterations
+        iterations += 1
+        k_s = assemble_tangent(structure, states)
+        if arc is None:
+            du -= solve_linear(k_s, apply_supports(r_vec, band))[0]
+            continue
+        x, _ = solve_linear(
+            k_s, apply_supports(np.column_stack((f_ref, -r_vec)), band))
+        x_f, x_r = x.T
+        d_lam = _arc_root(x_f, du + x_r, arc, du @ x_f >= 0)
+        if d_lam is None:
+            return u, lam, states, r_vec, r_norm, iterations
+        du += x_r + d_lam * x_f
+        lam += d_lam
+        f_ext = lam * f_ref
 
 
 def _arc_root(

@@ -254,8 +254,9 @@ def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
     assemble_tangent, the unloaded one included, and each trial
     displacement a full-length vector, the start plus the step scattered
     from band order. Returns the load carried by the last positive-definite
-    state before the first instability, or None when a positive-definite
-    state reaches f_hi.
+    state before the first instability, or by the last one reached when a
+    step can no longer move the load factor, or None when a
+    positive-definite state reaches f_hi.
     """
     band = structure.free_band
     pattern = np.asarray(load_pattern, dtype=float)
@@ -332,6 +333,9 @@ def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
     refining = False
     cuts = 0
     while True:
+        if good[1] + arc / np.linalg.norm(good[3]) == good[1]:
+            # the step no longer moves the load factor
+            return carried(good)
         step = arc_step(good, arc)
         if step is None:
             cuts += 1

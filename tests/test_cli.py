@@ -69,6 +69,14 @@ class TestGenerate:
         assert "subnormal" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_modulus_exit_2(self, tmp_path, capsys):
+        # EA/L0 and EI/L0 are exactly 0: its solve used to end singular
+        params = write_json(tmp_path / "p.json", {"e_modulus": 1e-320})
+        out = tmp_path / "out.json"
+        assert main(["generate", params, str(out)]) == 2
+        assert "subnormal or 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_crossbeams_valid(self, tmp_path):
         p = write_json(tmp_path / "p.json", {"n_crossbeams": 0})
         out = tmp_path / "out.json"

@@ -108,11 +108,13 @@ def test_overflowing_finger_moduli_rejected():
         generate(FinRayParams(e_modulus=1e300, section_b=1e10))
 
 
-@pytest.mark.parametrize("area, inertia", [(1e-10, 1.0), (1.0, 1e-12)],
-                         ids=["EA", "EI"])
+@pytest.mark.parametrize("area, inertia",
+                         [(1e-10, 1.0), (1.0, 1e-12), (1.0, 1e-30)],
+                         ids=["EA", "EI", "EI-zero"])
 def test_subnormal_moduli_rejected(area, inertia):
-    # EA/L0 or EI/L0 below sys.float_info.min: a beam so soft carries any
-    # load at absurd displacements, or solves with denormal arithmetic
+    # EA/L0 or EI/L0 below sys.float_info.min, or underflowing to exactly 0
+    # in a beam: a beam so soft carries any load at absurd displacements, or
+    # solves with denormal arithmetic
     props = ElementProps(1e-300, area, inertia)
     with pytest.raises(ModelError, match="subnormal"):
         build_structure([(0, 0.0, 0.0), (1, 0.01, 0.0)], [(0, 1, props)],
@@ -121,6 +123,14 @@ def test_subnormal_moduli_rejected(area, inertia):
     pin = ElementProps(1e-300, 1.0, inertia, "pin-ended")
     build_structure([(0, 0.0, 0.0), (1, 0.01, 0.0)], [(0, 1, pin)],
                     {0: FIXED})
+
+
+@pytest.mark.parametrize("connection", ["rigid", "simple"])
+def test_underflowing_finger_moduli_rejected(connection):
+    # E = 1e-320 makes EA/L0 and EI/L0 exactly 0; such a finger used to end
+    # its first solve increment with a singular tangent
+    with pytest.raises(ModelError, match="subnormal or 0"):
+        generate(FinRayParams(e_modulus=1e-320, connection=connection))
 
 
 def test_subnormal_finger_moduli_rejected():

@@ -401,22 +401,46 @@ STUDY_LIMIT = {"n_crossbeams=2": 0.71, "default": 1.28, "n_crossbeams=4": 2.23,
                "connection=simple": 0.80}
 
 
-@pytest.mark.parametrize("share", [0.8, 1.2], ids=["below", "above"])
-@pytest.mark.parametrize("refinement", [4, 12])
-@pytest.mark.parametrize("name", STUDY_FINGERS)
-def test_solve_is_bit_identical_to_the_plain_newton_loop(
-        name, refinement, share):
+def _identity_cases():
     # below the limit the path completes; above it, it mostly ends in a
     # snap, a singular tangent or no convergence, depending on finger and
     # mesh (force control tunnels past the top-angle-30 limit point at
-    # refinement 4, and top angle 40 holds)
-    model = generate(dataclasses.replace(STUDY_FINGERS[name],
-                                         refinement=refinement))
-    case = load_at_contact_node(model, 2, share * STUDY_LIMIT[name],
-                                direction=STUDY_DIRECTION)
-    config = SolverConfig(n_inc=10)
-    result = solve(model.structure, case, config)
-    records, cause = plain_solve(model.structure, case, config)
+    # refinement 4, and top angle 40 holds). One or two corrector
+    # iterations end most paths at "no convergence", and the column past
+    # buckling ends "indefinite".
+    for name in STUDY_FINGERS:
+        for refinement in (4, 12):
+            for share, label in ((0.8, "below"), (1.2, "above")):
+                yield pytest.param(name, refinement, share, 100,
+                                   id=f"{name}-{refinement}-{label}")
+        for maxiter in (1, 2):
+            for share in (0.5, 0.8, 1.2):
+                yield pytest.param(name, 4, share, maxiter,
+                                   id=f"{name}-4-{share}-maxiter{maxiter}")
+    yield pytest.param("column", 16, 20.0, 100, id="column-20-Pcr")
+
+
+@pytest.mark.parametrize("name, refinement, share, maxiter",
+                         _identity_cases())
+def test_solve_is_bit_identical_to_the_plain_newton_loop(
+        name, refinement, share, maxiter, make_cantilever):
+    if name == "column":
+        # share is of the clamped-free column's Euler load
+        structure = make_cantilever(refinement, length=FINGER_HEIGHT)
+        pattern = np.zeros(structure.n_dof)
+        pattern[structure.dof_index(refinement, "u")] = -1.0
+        p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
+        case = make_load_case(structure, share * p_cr * pattern)
+        config = SolverConfig(n_inc=2, maxiter=maxiter)
+    else:
+        model = generate(dataclasses.replace(STUDY_FINGERS[name],
+                                             refinement=refinement))
+        structure = model.structure
+        case = load_at_contact_node(model, 2, share * STUDY_LIMIT[name],
+                                    direction=STUDY_DIRECTION)
+        config = SolverConfig(n_inc=10, maxiter=maxiter)
+    result = solve(structure, case, config)
+    records, cause = plain_solve(structure, case, config)
     assert result.cause == cause
     assert len(result.increments) == len(records)
     for record, (n, displacement, iterations, r_norm) in zip(
@@ -424,7 +448,12 @@ def test_solve_is_bit_identical_to_the_plain_newton_loop(
         assert (record.n, record.iterations) == (n, iterations)
         assert np.array_equal(record.displacement, displacement)
         assert record.residual_norm == r_norm
-    assert result.completed or share > 1.0
+    if name == "column":
+        assert cause == "indefinite"
+    elif maxiter < 100:
+        assert cause in (None, "no convergence")
+    else:
+        assert result.completed or share > 1.0
 
 
 @pytest.mark.parametrize("resolution", [0.05, 5e-4])
@@ -446,6 +475,61 @@ def test_probe_is_bit_identical_to_the_plain_continuation(name, resolution):
         found = None
     assert found == expected
     assert (found is None) == (name == "top_angle=40")
+
+
+class Livelock(Exception):
+    """Raised by the counting solve_linear once a probe has spent far more
+    solves than any probe needs."""
+
+
+@pytest.mark.parametrize("params, f_hi, resolution", [
+    (FinRayParams(n_crossbeams=2), 4.0, 1e-30),
+    (FinRayParams(n_crossbeams=2), 4.0, 1e-300),
+    (FinRayParams(top_angle=40.0), 3000.0, 0.05),
+], ids=["refining-1e-30", "refining-1e-300", "growth"])
+def test_probe_ends_when_a_step_cannot_move_the_load_factor(
+        params, f_hi, resolution, monkeypatch):
+    # Refining: the arc halves below the float spacing of lambda, and every
+    # later step lands on the same lambda on a positive-definite state.
+    # Growth: near lambda 0.846, on states of 518% axial strain, steps of
+    # about 1e-16 alternately fail and succeed, lambda advances an ulp at a
+    # time and each success resets the cuts. Both used to run forever.
+    exact = finbeam.solver.solve_linear
+    calls = []
+
+    def counted(band, rhs):
+        calls.append(rhs.shape)
+        if len(calls) > 2000:
+            raise Livelock
+        return exact(band, rhs)
+
+    monkeypatch.setattr(finbeam.solver, "solve_linear", counted)
+    model = generate(params)
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    config = SolverConfig()
+    found = probe_max_force(model.structure, pattern, config, 0.05, f_hi,
+                            resolution)
+    assert found == plain_probe(model.structure, pattern, config.tolerance,
+                                f_hi, resolution)
+    if resolution < 1e-20 * f_hi:
+        # below the float spacing of lambda, every resolution ends the path
+        # at the same state
+        assert found == probe_max_force(model.structure, pattern, config,
+                                        0.05, f_hi, 1e-20 * f_hi)
+
+
+@pytest.mark.xfail(strict=True, raises=BracketInvalid, reason=(
+    "the first step from f_hi = 1e4 N converges at 71 kN on a state of "
+    "10,000% axial strain, which the probe reads as still holding"))
+def test_probe_finds_the_two_crossbeam_limit_from_a_wide_bracket():
+    # the same finger collapses at 0.7177 N from a 4 N bracket
+    model = generate(FinRayParams(n_crossbeams=2))
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    found = probe_max_force(model.structure, pattern, SolverConfig(), 0.05,
+                            1e4, 0.05)
+    assert 0.7177 - 0.05 <= found <= 0.7177
 
 
 class Escaped(Exception):
