@@ -1,6 +1,6 @@
 """finbeam: geometrically nonlinear 2D frame analysis for Fin-Ray fingers.
 
-Co-rotational beam elements, an incremental Newton-Raphson
+Co-rotational beam elements, a path-following Newton-Raphson
 force-displacement solver, a parametric Fin-Ray finger generator and a
 design-sweep command line front end.
 

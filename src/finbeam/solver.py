@@ -1,22 +1,23 @@
-"""Incremental-iterative Newton-Raphson force-displacement solver.
+"""Path-following force-displacement solver.
 
-``solve`` applies the total load in ``n_inc`` equal increments, each a
-tangent predictor step and then full-Newton corrector iterations (tangent
-reassembled from the current trial state every iteration) until the force
-residual norm over the free DOFs drops below the tolerance. The path ends
-at its first instability: Newton failure, a snap, or a negative eigenvalue
-of a converged tangent, counted exactly from the next predictor's
-factorization. Such an end is reported as data, not raised, so design
-sweeps can observe failures gracefully.
+One tracer, ``_trace``, follows the equilibrium path of a load pattern from
+the unloaded state by Crisfield's cylindrical arc-length continuation,
+which passes the limit points where force control fails. Each step is a
+tangent predictor and full-Newton corrector iterations (``_correct``,
+tangent reassembled from the current trial state every iteration) until
+the force residual norm over the free DOFs drops below the tolerance. A
+step that would reach or pass the next requested load level lands on it
+exactly, at fixed load. Every converged state's tangent is factored once:
+the exact count of its negative eigenvalues audits the state, and its
+solve gives the next predictor.
 
-The maximum-force probe follows the path by arc-length continuation, which
-passes the limit points where force control fails, with the same corrector
-(``_correct``) and a constraint that sets the load change. It stops at the
-first state whose tangent is not positive definite, or where a step can no
-longer move the load factor.
+``solve`` samples the path at ``n_inc`` equal load levels and ends at its
+first instability, reported as data, not raised, so design sweeps can
+observe failures gracefully. The maximum-force probe traces to the single
+level f_hi and refines the first instability to the requested resolution.
 
-``solve`` and the probe's ``_trace`` run silenced (assembly.silenced), so
-this module's update_member_data and assemble_tangent are unsilenced bodies.
+``_trace`` runs silenced (assembly.silenced), so this module's
+update_member_data and assemble_tangent are unsilenced bodies.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ log = logging.getLogger(__name__)
 update_member_data = assembly.update_member_data.__wrapped__
 assemble_tangent = assembly.assemble_tangent.__wrapped__
 
-# A load increment whose conjugate displacement step exceeds this multiple
-# of the previous step is read as a snap-through.
-SNAP_JUMP_RATIO = 3.0
-# Arc-length continuation of the maximum-force probe: the first predictor's
-# share of f_hi, the corrector iterations a step adapts toward and may take,
+# Arc-length continuation: the first predictor's largest share of the load
+# pattern, the corrector iterations a step adapts toward and may take,
 # the largest growth of the arc length per step, and the halvings in a row
 # after which a path whose steps do not converge ends.
 ARC_FIRST_STEP = 0.1
@@ -61,8 +59,10 @@ class SolverConfig:
     """Stepping and convergence controls.
 
     n_inc and maxiter are integers of at least 1, never bools; maxiter
-    bounds the corrector iterations per increment. tolerance is the
-    force-residual norm threshold in Newtons, finite and positive.
+    bounds the corrector iterations per increment, summed over the steps
+    to its load level, a step that does not converge counting all it was
+    allowed. tolerance is the force-residual norm threshold in Newtons,
+    finite and positive.
     """
 
     n_inc: int = 10
@@ -135,91 +135,37 @@ def residual(
     return r, math.sqrt(np.vdot(r, r))
 
 
-@silenced
 def solve(
     structure: Structure,
     load_case: LoadCase,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Trace the equilibrium path under incrementally applied load up to
-    its first instability.
+    """Trace the equilibrium path of the total load up to its first
+    instability, sampled at the ``n_inc`` equal load levels n / n_inc (see
+    _trace). Record n is the converged state at level n.
 
-    Per increment n: assemble the tangent's free-DOF band K_s at the last
-    converged state, take the predictor step du = K_s^-1 dF and run the
-    corrector at fixed load from u + du until ||R|| <= tolerance or maxiter
-    is hit. Each solve runs in band order: the right-hand side's free
-    entries are gathered into it and the solution scattered back, so the
-    fixed DOFs never move.
-
-    The solve ends with status "diverged", a cause and the history before
-    increment ``diverged_at`` on: a singular tangent or a degenerate
-    element, a non-finite residual or no convergence in increment n; a
-    snap, when n's displacement step along the load exceeds
-    SNAP_JUMP_RATIO times the previous one ("snap", at n); or any negative
-    eigenvalue of K_s, counted exactly from n's predictor factorization, at
-    the state converged in n - 1 ("indefinite", at n - 1). The count costs
-    no extra factorization. The unloaded state and the last converged
-    state have no predictor to audit them and go unchecked.
+    The solve ends with status "diverged", a cause and the records before
+    level ``diverged_at`` on: a converged state, the last one included,
+    whose tangent has a negative eigenvalue ("indefinite") or is singular
+    ("SingularMatrix"); or, when ARC_MAX_CUTS halvings in a row or the
+    level's maxiter iterations are spent or a step no longer moves the
+    load, the last failed step's singular tangent, degenerate element
+    ("DegenerateElement"), non-finite residual ("non-finite") or
+    non-convergence ("no convergence").
 
     Raises ModelError when the load fails make_load_case's check: a wrong
     shape, a non-finite entry or a force on a fixed DOF.
     """
     f_total = make_load_case(structure, load_case.f_total).f_total
-    direction = f_total / (np.linalg.norm(f_total) or 1.0)
-    band = structure.free_band
-    d_f_free = apply_supports(f_total / config.n_inc, band)
-    u = np.zeros(structure.n_dof)
-    states, _, k_s = structure.unloaded
-    records: list[IncrementRecord] = []
-    prev_step = math.inf
-
-    for n in range(1, config.n_inc + 1):
-        try:
-            if n > 1:
-                k_s = assemble_tangent(structure, states)
-            step, negative = solve_linear(k_s, d_f_free)
-            if negative > 0 and records:
-                log.info("increment %d converged to an indefinite tangent",
-                         n - 1)
-                return SolveResult(records[:-1], "indefinite")
-
-            # the trial state is (u + du) + delta_u, added on the free DOFs
-            # only: the fixed DOFs stay exactly 0
-            base = u.copy()
-            base[band.order] += step
-            u_trial, _, states, _, r_norm, iterations = _correct(
-                structure, base, np.zeros(len(step)), n / config.n_inc,
-                f_total, config.tolerance, config.maxiter)
-        except (SingularMatrix, DegenerateElement) as exc:
-            log.info("increment %d failed: %s", n, exc)
-            return SolveResult(records, type(exc).__name__)
-
-        if not math.isfinite(r_norm):
-            log.info("increment %d reached a non-finite residual", n)
-            return SolveResult(records, "non-finite")
-        if r_norm > config.tolerance:
-            log.info("increment %d did not converge in %d iterations "
-                     "(residual %.3e)", n, iterations, r_norm)
-            return SolveResult(records, "no convergence")
-
-        step = float(direction @ (u_trial - u))
-        if prev_step > 1e-15 and step / prev_step > SNAP_JUMP_RATIO:
-            log.info("increment %d snapped (step ratio %.3g)", n,
-                     step / prev_step)
-            return SolveResult(records, "snap")
-        prev_step = step
-
-        u = u_trial
-        log.debug("increment %d converged in %d iterations (residual %.3e)",
-                  n, iterations, r_norm)
-        records.append(IncrementRecord(n, u, iterations, r_norm))
-
-    return SolveResult(records, None)
+    levels = [n / config.n_inc for n in range(1, config.n_inc + 1)]
+    records, cause, _ = _trace(structure, f_total, levels, config.tolerance,
+                               config.maxiter, math.inf)
+    return SolveResult(records, cause)
 
 
 def path_is_stable(result: SolveResult) -> bool:
-    """False when the path ended at an indefinite tangent or a snap."""
-    return result.cause not in ("indefinite", "snap")
+    """False when the path ended at an indefinite tangent."""
+    return result.cause != "indefinite"
 
 
 def probe_max_force(
@@ -233,24 +179,14 @@ def probe_max_force(
     """Load magnitude at the first instability of the path, within
     resolution below it.
 
-    Follows the equilibrium path of ``lam * f_hi * load_pattern``
-    (typically a unit force at one node) from the unloaded state by
-    Crisfield's cylindrical arc-length continuation, which passes limit
-    points that force control cannot. The arc length adapts toward
-    ARC_TARGET_ITERATIONS corrector iterations per step, and a step that
-    has not converged within ARC_MAX_ITERATIONS is retried at half the
-    length. The path ends at the first converged state whose tangent,
-    factored for its next predictor, has a negative eigenvalue or is
-    singular: a limit point or a bifurcation. The probe then restarts from
-    the last positive-definite state at half the arc length until a
-    predictor step from that state is worth at most ``resolution`` of load
-    and still crosses the instability, and returns the load that state
-    carries. The path also ends at its last state after ARC_MAX_CUTS
-    halvings in a row without convergence, or once a step cannot move the
-    load factor in floating point. ``config`` supplies the residual
-    tolerance; ``n_inc`` and ``maxiter`` do not step the path. Raises
-    BracketInvalid when f_lo >= f_hi, when a positive-definite state at or
-    past f_hi is reached ("still holds at f_hi") and when the returned force
+    Traces the path of ``lam * f_hi * load_pattern`` (typically a unit
+    force at one node) to the single level lam = 1 (see _trace), and
+    returns the load carried by the last positive-definite state before
+    the first instability, found to within ``resolution``, or before the
+    path ends otherwise. ``config`` supplies the residual tolerance;
+    ``n_inc`` and ``maxiter`` do not step the path.
+    Raises BracketInvalid when f_lo >= f_hi, when a positive-definite state
+    at f_hi is reached ("still holds at f_hi") and when the returned force
     falls below f_lo ("already collapses at f_lo"), and ValueError when
     f_lo, f_hi or resolution is not finite. Deterministic for fixed inputs.
     """
@@ -267,10 +203,11 @@ def probe_max_force(
         raise ValueError("load pattern must be nonzero")
 
     f_ref = make_load_case(structure, f_hi * pattern).f_total
-    lam = _trace(structure, f_ref, config.tolerance, resolution / f_hi)
-    if lam is None:
+    records, _, good = _trace(structure, f_ref, [1.0], config.tolerance,
+                              math.inf, resolution / f_hi)
+    if records:
         raise BracketInvalid(f"structure still holds at f_hi = {f_hi}")
-    force = f_hi * lam
+    force = 0.0 if good is None else f_hi * _carried(good, f_ref)
     if force < f_lo:
         raise BracketInvalid(f"structure already collapses at f_lo = {f_lo}")
     return force
@@ -292,62 +229,102 @@ class _PathState:
 def _trace(
     structure: Structure,
     f_ref: np.ndarray,
+    levels: list[float],
     tolerance: float,
+    maxiter: float,
     lam_resolution: float,
-) -> Optional[float]:
-    """Load factor carried by the last positive-definite state before the
-    first instability on the path F_ext = lam * f_ref, to within
-    ``lam_resolution``, or None when a positive-definite state reaches
-    lam >= 1 (see probe_max_force). Each converged state's tangent is
-    factored once: its negative-eigenvalue count audits the state and its
-    solve gives the next predictor."""
+) -> tuple[list[IncrementRecord], Optional[str], Optional[_PathState]]:
+    """Follow the path F_ext = lam * f_ref from the unloaded state by
+    cylindrical arc length, landing exactly on each of the ascending load
+    factors ``levels``.
+
+    Each converged state's tangent is factored once: its negative
+    eigenvalue count audits the state and x_f = K^-1 f_ref is the next
+    predictor's direction, du = d x_f. An arc step takes d = arc / ||x_f||,
+    the first arc min(ARC_FIRST_STEP, levels[0]) ||x_f||. A step that would
+    reach or pass the next level is a fixed-load step to it instead, which
+    restarts the arc from its own length; its state is recorded with the
+    corrector iterations spent since the last level. A step may take
+    ARC_MAX_ITERATIONS iterations, the steps to a level maxiter in all, a
+    step that does not converge spending all it was allowed; it is retried
+    at half the length, ARC_MAX_CUTS times in a row at most. The arc adapts
+    toward ARC_TARGET_ITERATIONS per step, growing by at most
+    ARC_MAX_GROWTH.
+
+    Past an instability the path restarts from the last positive-definite
+    state at half the step length until the crossing step is at most
+    ``lam_resolution``. Returns the records of the levels reached, the
+    cause that ended the path (None when every level was reached) and the
+    last positive-definite state (None when the unloaded tangent is not).
+    """
     f_free = apply_supports(f_ref, structure.free_band)
     _, f_int, k_s = structure.unloaded
+    u, lam = np.zeros(structure.n_dof), 0.0
     r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
-    good = _audited(k_s, f_free, np.zeros(structure.n_dof), 0.0, r_vec)
-    if good is None:
-        log.info("probe: the unloaded tangent is not positive definite")
-        return 0.0
-    arc = ARC_FIRST_STEP * float(np.linalg.norm(good.x_f))
-    refining = False
-    cuts = 0
+    records: list[IncrementRecord] = []
+    good = None
+    landed = refining = False
+    cuts = spent = 0
     while True:
-        # the predictor du = d x_f with d = arc / ||x_f|| > 0: from a
-        # positive-definite state the path rises
-        d_lam = arc / np.linalg.norm(good.x_f)
-        if good.lam + d_lam == good.lam:
-            log.info("probe: steps no longer move load factor %.6g", good.lam)
-            return _carried(good, f_ref)
         try:
-            u, lam, states, r_vec, r_norm, iterations = _correct(
-                structure, good.u, d_lam * good.x_f, good.lam + d_lam,
-                f_ref, tolerance, ARC_MAX_ITERATIONS, arc)
-        except (SingularMatrix, DegenerateElement):
-            r_norm = math.inf
-        if not r_norm <= tolerance:
-            cuts += 1
-            if cuts > ARC_MAX_CUTS:
-                log.info("probe: no step from load factor %.6g converges",
-                         good.lam)
-                return _carried(good, f_ref)
+            x_f, negative = solve_linear(k_s, f_free)
+            cause = "indefinite" if negative else None
+        except SingularMatrix:
+            cause = "SingularMatrix"
+        if cause is not None:
+            if good is None or d_lam <= lam_resolution:
+                log.info("path ended at load factor %.6g (%s)", lam, cause)
+                return records, cause, good
+            refining = True
             arc *= 0.5
-            continue
-        audited = _audited(assemble_tangent(structure, states), f_free, u,
-                           lam, r_vec)
-        if audited is not None:
-            good, cuts = audited, 0
-            if good.lam >= 1.0:
-                return None
-            if not refining:
+        else:
+            if good is None:
+                arc = min(ARC_FIRST_STEP, levels[0]) * np.linalg.norm(x_f)
+            elif not refining:
                 arc *= min(ARC_MAX_GROWTH, math.sqrt(
                     ARC_TARGET_ITERATIONS / max(iterations, 1)))
-            continue
-        log.debug("probe: instability between load factors %.6g and %.6g",
-                  good.lam, lam)
-        if d_lam <= lam_resolution:
-            return _carried(good, f_ref)
-        refining = True
-        arc *= 0.5
+            good, cuts = _PathState(u, lam, r_vec, x_f), 0
+            if landed:
+                records.append(IncrementRecord(len(records) + 1, u, spent,
+                                               r_norm))
+                spent = 0
+                if len(records) == len(levels):
+                    return records, None, good
+
+        cause = "no convergence"
+        while True:
+            level = levels[len(records)]
+            x_norm = np.linalg.norm(good.x_f)
+            # d = arc / ||x_f|| > 0: from a positive-definite state the
+            # path rises; the landing step may run back to a level the
+            # arc passed
+            d_lam = arc / x_norm
+            landed = not arc < (level - good.lam) * x_norm
+            if landed:
+                d_lam = level - good.lam
+                arc = abs(d_lam) * x_norm
+            budget = min(ARC_MAX_ITERATIONS, maxiter - spent)
+            if (cuts > ARC_MAX_CUTS or not budget
+                    or not landed and good.lam + d_lam == good.lam):
+                log.info("no step from load factor %.6g converges (%s)",
+                         good.lam, cause)
+                return records, cause, good
+            try:
+                u, lam, states, r_vec, r_norm, iterations = _correct(
+                    structure, good.u, d_lam * good.x_f,
+                    level if landed else good.lam + d_lam, f_ref, tolerance,
+                    budget, None if landed else arc)
+                cause = ("no convergence" if math.isfinite(r_norm)
+                         else "non-finite")
+            except (SingularMatrix, DegenerateElement) as exc:
+                cause, r_norm = type(exc).__name__, math.inf
+            if r_norm <= tolerance:
+                break
+            cuts += 1
+            spent += budget
+            arc *= 0.5
+        spent += iterations
+        k_s = assemble_tangent(structure, states)
 
 
 def _carried(state: _PathState, f_ref: np.ndarray) -> float:
@@ -356,23 +333,6 @@ def _carried(state: _PathState, f_ref: np.ndarray) -> float:
     lam alone can exceed the peak of the path by up to tolerance / ||f_ref||,
     since a converged state may be that far from equilibrium."""
     return float(state.lam + (f_ref @ state.r_vec) / (f_ref @ f_ref))
-
-
-def _audited(
-    k_s: np.ndarray,
-    f_free: np.ndarray,
-    u: np.ndarray,
-    lam: float,
-    r_vec: np.ndarray,
-) -> Optional[_PathState]:
-    """The converged state with its predictor direction, or None when its
-    tangent band k_s has a negative eigenvalue or is singular. f_free is
-    f_ref in band order."""
-    try:
-        x_f, negative = solve_linear(k_s, f_free)
-    except SingularMatrix:
-        return None
-    return None if negative else _PathState(u, lam, r_vec, x_f)
 
 
 def _correct(
@@ -391,8 +351,8 @@ def _correct(
     K [x_f, x_r] = [f_ref, -R] with one factorization and takes the load
     change d that keeps ||du + x_r + d x_f|| = arc, the root whose step
     turns least from du (Crisfield 1981). Returns (u, lam, states, r_vec,
-    r_norm, iterations) once ||R|| <= tolerance, ||R|| is NaN (or infinite
-    on the arc), maxiter iterations are spent or the arc has no real root.
+    r_norm, iterations) once ||R|| <= tolerance, ||R|| is not finite,
+    maxiter iterations are spent or the arc has no real root.
     Raises SingularMatrix and DegenerateElement."""
     band = structure.free_band
     f_ext = lam * f_ref
@@ -402,10 +362,8 @@ def _correct(
         u[band.order] += du
         states, f_int = update_member_data(structure, u)
         r_vec, r_norm = residual(f_int, f_ext, structure.supports)
-        # force control iterates on from an infinite norm, which may be the
-        # overflowed sum of finite forces; the arc stops there
         if (not r_norm > tolerance or iterations == maxiter
-                or arc is not None and r_norm == math.inf):
+                or r_norm == math.inf):
             return u, lam, states, r_vec, r_norm, iterations
         iterations += 1
         k_s = assemble_tangent(structure, states)

@@ -6,10 +6,11 @@ with an adaptive Runge-Kutta scheme plus curvature shooting, tangent
 matrices are checked against plain central differences, the batched
 element kernels against a scalar co-rotational element evaluated one
 element at a time, and the band assembly against a dense scatter. Only
-three oracles import from ``finbeam``: that scatter, ``dense_tangent``,
+four oracles import from ``finbeam``: that scatter, ``dense_tangent``,
 places the package's own element tangents, so that only the placement is
-checked, and ``plain_solve`` and ``plain_probe`` run the Newton loop and
-the arc-length continuation on the package's public kernels, so that only
+checked, and ``plain_solve``, ``plain_path`` and ``plain_probe`` run
+force-controlled Newton (the reference ``solve`` replaced) and the
+arc-length continuation on the package's public kernels, so that only
 the loops' bookkeeping is checked.
 """
 
@@ -35,9 +36,12 @@ from finbeam.solver import (
     ARC_MAX_GROWTH,
     ARC_MAX_ITERATIONS,
     ARC_TARGET_ITERATIONS,
-    SNAP_JUMP_RATIO,
     residual,
 )
+
+# The force-controlled path's snap heuristic: an increment whose step
+# along the load exceeds this multiple of the previous one is a snap.
+SNAP_JUMP_RATIO = 3.0
 
 
 def elastica_cantilever_tip(alpha):
@@ -194,12 +198,14 @@ def dense_tangent(structure, state):
 
 
 def plain_solve(structure, load_case, config):
-    """The force-controlled Newton path of ``finbeam.solve``, written
-    plainly: every state from update_member_data, every tangent from
-    assemble_tangent, the unloaded one included, and full-length
-    displacement vectors, the trial state (u + du) + delta_u. Returns the
-    (n, displacement, iterations, residual norm) of each converged
-    increment and the cause that ended the path (None when it completed).
+    """A force-controlled Newton path with a snap heuristic, as
+    ``finbeam.solve`` once traced it, the reference for the sampled
+    continuation that replaced it, written plainly: every state from
+    update_member_data, every tangent from assemble_tangent, the unloaded
+    one included, and full-length displacement vectors, the trial state
+    (u + du) + delta_u. Returns the (n, displacement, iterations, residual
+    norm) of each converged increment and the cause that ended the path
+    (None when it completed).
     """
     n_dof = structure.n_dof
     band = structure.free_band
@@ -248,19 +254,18 @@ def plain_solve(structure, load_case, config):
     return records, None
 
 
-def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
-    """The arc-length continuation of ``finbeam.probe_max_force``, written
-    plainly: every state from update_member_data, every tangent from
-    assemble_tangent, the unloaded one included, and each trial
-    displacement a full-length vector, the start plus the step scattered
-    from band order. Returns the load carried by the last positive-definite
-    state before the first instability, or by the last one reached when a
-    step can no longer move the load factor, or None when a
-    positive-definite state reaches f_hi.
+def plain_path(structure, f_ref, levels, tolerance, maxiter, lam_resolution):
+    """The arc-length continuation of ``finbeam.solve`` and
+    ``finbeam.probe_max_force``, written plainly: every state from
+    update_member_data, every tangent from assemble_tangent, the unloaded
+    one included, and each trial displacement a full-length vector, the
+    start plus the step scattered from band order. Returns the (n,
+    displacement, iterations, residual norm) of each load level reached,
+    the cause that ended the path (None when it reached every level) and
+    the last positive-definite state as (u, lam, r_vec, x_f), or None when
+    the unloaded tangent is not positive definite.
     """
     band = structure.free_band
-    pattern = np.asarray(load_pattern, dtype=float)
-    f_ref = make_load_case(structure, f_hi * pattern).f_total
     f_free = apply_supports(f_ref, band)
 
     def displaced(u, du):
@@ -268,26 +273,20 @@ def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
         step[band.order] = du
         return u + step
 
-    def audited(state, u, lam, r_vec):
-        # (u, lam, r_vec, x_f), or None when the tangent is not positive
-        # definite
+    def audited(state):
+        # (x_f, cause), the cause None when the tangent is positive definite
         try:
             x_f, negative = solve_linear(assemble_tangent(structure, state),
                                          f_free)
         except SingularMatrix:
-            return None
-        return None if negative else (u, lam, r_vec, x_f)
+            return None, "SingularMatrix"
+        return x_f, "indefinite" if negative else None
 
-    def carried(good):
-        _, lam, r_vec, _ = good
-        return f_hi * float(lam + (f_ref @ r_vec) / (f_ref @ f_ref))
-
-    def arc_step(good, arc):
-        # ((u, lam, state, r_vec), corrector iterations), or None
-        u0, lam, _, x_f0 = good
-        d_lam = arc / np.linalg.norm(x_f0)
+    def step(good, d_lam, lam, budget, arc):
+        # ((u, lam, state, r_vec, r_norm), iterations) once converged, or
+        # (None, cause); arc None holds the load at lam
+        u0, _, _, x_f0 = good
         du = d_lam * x_f0
-        lam = lam + d_lam
         iterations = 0
         try:
             while True:
@@ -296,14 +295,19 @@ def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
                 r_vec, r_norm = residual(f_int, lam * f_ref,
                                          structure.supports)
                 if not math.isfinite(r_norm):
-                    return None
+                    return None, "non-finite"
                 if r_norm <= tolerance:
-                    return (u, lam, state, r_vec), iterations
-                if iterations == ARC_MAX_ITERATIONS:
-                    return None
+                    return (u, lam, state, r_vec, r_norm), iterations
+                if iterations == budget:
+                    return None, "no convergence"
                 iterations += 1
+                tangent = assemble_tangent(structure, state)
+                if arc is None:
+                    du = du - solve_linear(tangent,
+                                           apply_supports(r_vec, band))[0]
+                    continue
                 x, _ = solve_linear(
-                    assemble_tangent(structure, state),
+                    tangent,
                     apply_supports(np.column_stack((f_ref, -r_vec)), band))
                 x_f, x_r = x.T
                 # the root d of ||du + x_r + d x_f|| = arc that turns least
@@ -314,46 +318,89 @@ def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
                 c = base @ base - arc * arc
                 disc = b * b - 4.0 * a * c
                 if not (disc >= 0.0 and a > 0.0):
-                    return None
+                    return None, "no convergence"
                 q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
                 roots = (q / a, c / q) if q != 0.0 else (0.0, 0.0)
-                d_lam = max(roots) if du @ x_f >= 0 else min(roots)
-                du += x_r + d_lam * x_f
-                lam += d_lam
-        except (SingularMatrix, DegenerateElement):
-            return None
+                d = max(roots) if du @ x_f >= 0 else min(roots)
+                du += x_r + d * x_f
+                lam += d
+        except (SingularMatrix, DegenerateElement) as exc:
+            return None, type(exc).__name__
 
     u = np.zeros(structure.n_dof)
     state, f_int = update_member_data(structure, u)
-    r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
-    good = audited(state, u, 0.0, r_vec)
-    if good is None:
-        return 0.0
-    arc = ARC_FIRST_STEP * float(np.linalg.norm(good[3]))
-    refining = False
-    cuts = 0
+    r_vec, r_norm = residual(f_int, 0.0 * f_ref, structure.supports)
+    converged = (u, 0.0, state, r_vec, r_norm)
+    records = []
+    good = None
+    landed = refining = False
+    cuts = spent = iterations = 0
     while True:
-        if good[1] + arc / np.linalg.norm(good[3]) == good[1]:
-            # the step no longer moves the load factor
-            return carried(good)
-        step = arc_step(good, arc)
-        if step is None:
-            cuts += 1
-            if cuts > ARC_MAX_CUTS:
-                return carried(good)
+        u, lam, state, r_vec, r_norm = converged
+        x_f, cause = audited(state)
+        if cause is not None:
+            # an instability after good: refine down to lam_resolution
+            if good is None or d_lam <= lam_resolution:
+                return records, cause, good
+            refining = True
             arc *= 0.5
-            continue
-        (u, lam, state, r_vec), iterations = step
-        checked = audited(state, u, lam, r_vec)
-        if checked is not None:
-            good, cuts = checked, 0
-            if lam >= 1.0:
-                return None
-            if not refining:
+        else:
+            if good is None:
+                arc = min(ARC_FIRST_STEP, levels[0]) * np.linalg.norm(x_f)
+            elif not refining:
                 arc *= min(ARC_MAX_GROWTH, math.sqrt(
                     ARC_TARGET_ITERATIONS / max(iterations, 1)))
-            continue
-        if arc / np.linalg.norm(good[3]) <= resolution / f_hi:
-            return carried(good)
-        refining = True
-        arc *= 0.5
+            good, cuts = (u, lam, r_vec, x_f), 0
+            if landed:
+                records.append((len(records) + 1, u, spent, r_norm))
+                spent = 0
+                if len(records) == len(levels):
+                    return records, None, good
+        cause = "no convergence"
+        while True:
+            level = levels[len(records)]
+            norm = np.linalg.norm(good[3])
+            budget = min(ARC_MAX_ITERATIONS, maxiter - spent)
+            # a step that would reach or pass the level lands on it at
+            # fixed load, restarting the arc from its length
+            landed = not arc < (level - good[1]) * norm
+            if landed:
+                d_lam = level - good[1]
+                arc = abs(d_lam) * norm
+            else:
+                d_lam = arc / norm
+            if cuts > ARC_MAX_CUTS or budget == 0:
+                return records, cause, good
+            if not landed and good[1] + d_lam == good[1]:
+                # the step no longer moves the load factor
+                return records, cause, good
+            converged, outcome = step(good, d_lam,
+                                      level if landed else good[1] + d_lam,
+                                      budget, None if landed else arc)
+            if converged is not None:
+                iterations = outcome
+                spent += iterations
+                break
+            # a failed step spends its whole allowance
+            cause = outcome
+            cuts += 1
+            spent += budget
+            arc *= 0.5
+
+
+def plain_probe(structure, load_pattern, tolerance, f_hi, resolution):
+    """The maximum force of ``finbeam.probe_max_force`` from plain_path:
+    the load carried by the last positive-definite state before the first
+    instability, or by the last one reached when a step can no longer move
+    the load factor, or None when a positive-definite state reaches f_hi.
+    """
+    pattern = np.asarray(load_pattern, dtype=float)
+    f_ref = make_load_case(structure, f_hi * pattern).f_total
+    records, _, good = plain_path(structure, f_ref, [1.0], tolerance,
+                                  math.inf, resolution / f_hi)
+    if records:
+        return None
+    if good is None:
+        return 0.0
+    _, lam, r_vec, _ = good
+    return f_hi * float(lam + (f_ref @ r_vec) / (f_ref @ f_ref))

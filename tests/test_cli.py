@@ -274,6 +274,23 @@ class TestSweep:
         # a variant that holds the whole bracket counts as the strongest
         assert summary["trends"]["max_force_ascending"] is True
 
+    def test_no_row_past_the_probed_force_reads_converged(self, tmp_path):
+        # force control completed top angle 30 at 3.5 N in 10 steps on
+        # another branch, past its 2.88 N limit, and the sweep wrote
+        # converged=True there next to the probed force
+        data = sweep_spec(values=(30.0,), probe_hi=4.0)
+        data["axis"] = "top_angle"
+        data["load_magnitudes"] = [2.0, 3.5]
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        assert summary["variants"][0]["max_allowable_force"] == \
+            pytest.approx(2.878988788646324, abs=1e-9)
+        converged = {(float(r["load_n"]), r["converged"])
+                     for r in read_csv(out)}
+        assert converged == {(2.0, "True"), (3.5, "False")}
+
     def test_invalid_axis_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "sweep.json",
                           {"axis": "colour", "values": [1],

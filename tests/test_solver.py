@@ -10,6 +10,7 @@ import finbeam.solver
 from finbeam import (
     KIND_BEAM,
     BracketInvalid,
+    DegenerateElement,
     ElementProps,
     FinRayParams,
     LoadCase,
@@ -30,7 +31,8 @@ from finbeam import (
 from conftest import (AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS,
                       one_element_frame)
 
-from oracles import elastica_cantilever_tip, plain_probe, plain_solve
+from oracles import (dense_tangent, elastica_cantilever_tip, plain_path,
+                     plain_probe, plain_solve)
 from strategies import small_frames
 
 FIXED = (True, True, True)
@@ -181,10 +183,13 @@ def test_snap_through_limit_point_detected():
     above = make_load_case(s, _apex_load(s, 1.05 * limit))
     assert solve(s, below, SolverConfig(n_inc=20)).completed
     result = solve(s, above, SolverConfig(n_inc=100))
-    # force control cannot pass the limit point smoothly; the solve's
-    # stability audit ends the path at the snap
-    assert (not result.completed) or not path_is_stable(result)
-    assert result.cause == "snap"
+    # the continuation passes the limit point, where the tangent turns
+    # indefinite, and no level above the limit load is recorded
+    assert result.cause == "indefinite"
+    assert not path_is_stable(result)
+    assert result.increments
+    assert all(record.n / 100 * 1.05 * limit <= limit
+               for record in result.increments)
 
 
 def test_probe_matches_von_mises_limit():
@@ -295,22 +300,13 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     assert result.diverged_at == 1
 
 
-# Force control's snap heuristic (SNAP_JUMP_RATIO) ends these two paths
-# below the probed force, where the exact inertia along the continuation
-# stays positive: inclination +10 crosses a near-critical plateau at 1.576 N
-# (lambda_min 1.5e-6) and the simple connection nears its peak at 0.800 N.
-SNAP_HEURISTIC_FIRES = pytest.mark.xfail(
-    strict=True, reason="SNAP_JUMP_RATIO reads a stable plateau as a snap")
-
-
 @pytest.mark.parametrize("params", [
-    pytest.param(params, id=name, marks=SNAP_HEURISTIC_FIRES
-                 if name in ("inclination=+10", "connection=simple") else ())
+    pytest.param(params, id=name)
     for name, params in STUDY_FINGERS.items() if name != "top_angle=40"])
-def test_force_control_reaches_the_probed_force_stably(params):
+def test_solve_reaches_the_probed_force_stably(params):
     # The study fingers of criterion 6 (top angle 40 holds at 4 N). Force
-    # control tunnels past the top-angle-30 limit point near 2.88 N at some
-    # step sizes, so a search over repeated solves reported 3.81 N there.
+    # control with a snap heuristic ended inclination +10 and the simple
+    # connection below their probed force, on stable ground.
     model = generate(params)
     pattern = load_at_contact_node(model, 2, 1.0,
                                    direction=STUDY_DIRECTION).f_total
@@ -366,31 +362,56 @@ def test_euler_column_ends_at_critical_load(make_cantilever):
     assert not path_is_stable(result)
 
 
-def test_column_far_past_buckling_ends_indefinite(make_cantilever):
+@pytest.mark.parametrize("share, n_inc", [(20.0, 2), (1.5, 1), (3.0, 1)])
+def test_column_far_past_buckling_ends_indefinite(make_cantilever, share,
+                                                  n_inc):
     # at 10 P_cr the straight column's tangent has two negative
-    # eigenvalues: an even count, which a determinant sign cannot see
+    # eigenvalues: an even count, which a determinant sign cannot see; in
+    # one increment the last state is the first one past buckling, and
+    # its audit ends the path
     s = make_cantilever(16, length=FINGER_HEIGHT)
     p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
     pattern = np.zeros(s.n_dof)
     pattern[s.dof_index(16, "u")] = -1.0
-    result = solve(s, make_load_case(s, 20.0 * p_cr * pattern),
-                   SolverConfig(n_inc=2))
+    result = solve(s, make_load_case(s, share * p_cr * pattern),
+                   SolverConfig(n_inc=n_inc))
     assert result.cause == "indefinite"
     assert result.diverged_at == 1
     assert result.increments == []
 
 
-def test_path_stops_at_first_snap():
-    # the probe's path for the two-crossbeam study finger; force control
-    # used to run on to 4 N after snapping at increment 15. Whether that
-    # increment ends as "snap" or "no convergence" is decided by roundoff
-    # in a long Newton wander, so only the stop is asserted.
+def test_path_stops_at_first_instability():
+    # the probe's path for the two-crossbeam study finger, which collapses
+    # at 0.7177 N: force control used to run on to 4 N after snapping at
+    # increment 15, and whether that increment ended as "snap" or "no
+    # convergence" was decided by roundoff in a long Newton wander
     model = generate(FinRayParams(n_crossbeams=2))
     case = load_at_contact_node(model, 2, 4.0, direction=STUDY_DIRECTION)
     result = solve(model.structure, case, SolverConfig(n_inc=80))
-    assert not result.completed
+    assert result.cause == "indefinite"
     assert result.diverged_at == 15
     assert len(result.increments) == 14
+
+
+def test_solve_ends_past_the_top_angle_30_limit():
+    # force control completed 3.5 N in 10 steps on another branch, the
+    # loaded node turned by 0.91 rad, though the limit is at 2.88 N
+    model = generate(FinRayParams(top_angle=30.0))
+    case = load_at_contact_node(model, 2, 3.5, direction=STUDY_DIRECTION)
+    result = solve(model.structure, case, SolverConfig(n_inc=10))
+    assert result.cause == "indefinite"
+    assert result.diverged_at == 9
+    assert not path_is_stable(result)
+
+
+def test_solve_passes_the_inclination_minus_10_plateau():
+    # under the normal load force control ended this path as a snap at 1.5
+    # and at 2.0 N on stable ground; its first instability is at 3.08 N
+    model = generate(FinRayParams(inclination=-10.0))
+    result = solve(model.structure, load_at_contact_node(model, 2, 2.0),
+                   SolverConfig(n_inc=10))
+    assert result.completed
+    assert len(result.increments) == 10
 
 
 # Each study finger's criterion-6 probe value at refinement 4 (N); top
@@ -402,12 +423,10 @@ STUDY_LIMIT = {"n_crossbeams=2": 0.71, "default": 1.28, "n_crossbeams=4": 2.23,
 
 
 def _identity_cases():
-    # below the limit the path completes; above it, it mostly ends in a
-    # snap, a singular tangent or no convergence, depending on finger and
-    # mesh (force control tunnels past the top-angle-30 limit point at
-    # refinement 4, and top angle 40 holds). One or two corrector
-    # iterations end most paths at "no convergence", and the column past
-    # buckling ends "indefinite".
+    # below the limit the path completes; above it, it ends "indefinite"
+    # past the limit point (top angle 40 holds). One or two corrector
+    # iterations per level end some paths at "no convergence", and the
+    # column past buckling ends "indefinite".
     for name in STUDY_FINGERS:
         for refinement in (4, 12):
             for share, label in ((0.8, "below"), (1.2, "above")):
@@ -422,7 +441,7 @@ def _identity_cases():
 
 @pytest.mark.parametrize("name, refinement, share, maxiter",
                          _identity_cases())
-def test_solve_is_bit_identical_to_the_plain_newton_loop(
+def test_solve_is_bit_identical_to_the_plain_path(
         name, refinement, share, maxiter, make_cantilever):
     if name == "column":
         # share is of the clamped-free column's Euler load
@@ -440,7 +459,10 @@ def test_solve_is_bit_identical_to_the_plain_newton_loop(
                                     direction=STUDY_DIRECTION)
         config = SolverConfig(n_inc=10, maxiter=maxiter)
     result = solve(structure, case, config)
-    records, cause = plain_solve(structure, case, config)
+    levels = [n / config.n_inc for n in range(1, config.n_inc + 1)]
+    records, cause, _ = plain_path(structure, case.f_total, levels,
+                                   config.tolerance, config.maxiter,
+                                   math.inf)
     assert result.cause == cause
     assert len(result.increments) == len(records)
     for record, (n, displacement, iterations, r_norm) in zip(
@@ -452,8 +474,25 @@ def test_solve_is_bit_identical_to_the_plain_newton_loop(
         assert cause == "indefinite"
     elif maxiter < 100:
         assert cause in (None, "no convergence")
+    elif share > 1.0:
+        assert cause == ("indefinite" if name != "top_angle=40" else None)
     else:
-        assert result.completed or share > 1.0
+        # Below the limit force control reaches every level too. Both end
+        # each level within the residual tolerance of equilibrium, so
+        # their states differ by at most ||K^-1|| 2 tolerance =
+        # 2 tolerance / lambda_min(K) on the free DOFs, to first order,
+        # with K the tangent at force control's state.
+        forced, forced_cause = plain_solve(structure, case, config)
+        assert cause is None and forced_cause is None
+        free = np.setdiff1d(np.arange(structure.n_dof),
+                            structure.supports.dofs)
+        for record, (_, displacement, _, _) in zip(result.increments,
+                                                   forced):
+            state, _ = update_member_data(structure, displacement)
+            k_free = dense_tangent(structure, state)[np.ix_(free, free)]
+            bound = 2.0 * config.tolerance / np.linalg.eigvalsh(k_free)[0]
+            assert np.linalg.norm(record.displacement
+                                  - displacement) <= bound
 
 
 @pytest.mark.parametrize("resolution", [0.05, 5e-4])
@@ -540,6 +579,10 @@ def _escape(*args):
     raise Escaped
 
 
+def _degenerate(*args):
+    raise DegenerateElement("element 0 has (nearly) coincident nodes")
+
+
 @pytest.mark.parametrize("ending", [
     "completed", "DegenerateElement", "SingularMatrix", "raised"])
 def test_solve_restores_the_floating_point_error_state(ending, monkeypatch):
@@ -553,15 +596,17 @@ def test_solve_restores_the_floating_point_error_state(ending, monkeypatch):
                             {0: FIXED})
     else:
         s = one_element_frame(1.0)
-    # EA of compression: the predictor moves the free node onto the clamp
-    force = (-E_MOD * AREA, 0.0, 0.0) if ending == "DegenerateElement" else (
-        0.0, 0.01, 0.0)
+    if ending == "DegenerateElement":
+        # every trial state collapses an element, so every step and every
+        # halving of it fails
+        monkeypatch.setattr(finbeam.solver, "update_member_data", _degenerate)
     if ending == "raised":
         monkeypatch.setattr(finbeam.solver, "solve_linear", _escape)
     with np.errstate(over="raise", invalid="raise"):
         before = np.geterr()
         try:
-            result = solve(s, load_case(s, {1: force}), SolverConfig(n_inc=1))
+            result = solve(s, load_case(s, {1: (0.0, 0.01, 0.0)}),
+                           SolverConfig(n_inc=1))
         except Escaped:
             result = None
         assert np.geterr() == before
