@@ -56,6 +56,7 @@ from .solver import (
     probe_max_force,
     residual,
     solve,
+    trace_loads,
 )
 from .finray import (
     CONNECTION_RIGID,
@@ -86,7 +87,7 @@ __all__ = [
     "apply_supports", "solve_linear", "SingularMatrix", "DegenerateElement",
     # solver
     "SolverConfig", "IncrementRecord", "SolveResult", "residual", "solve",
-    "probe_max_force", "path_is_stable", "BracketInvalid",
+    "probe_max_force", "path_is_stable", "BracketInvalid", "trace_loads",
     # finray
     "FinRayParams", "FinRayModel", "generate", "load_at_contact_node",
     "params_from_dict", "model_to_dict",

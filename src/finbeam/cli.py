@@ -1,4 +1,5 @@
-"""Command line front end: generate fingers, run solves, run design sweeps.
+"""Command line front end: generate fingers, run solves, run design sweeps
+that trace each variant's load path once (solver.trace_loads).
 
 Exit codes are a stable contract: 0 success, 2 invalid input, 3 divergence
 (the partial history is still written). Set FINBEAM_LOG_LEVEL=INFO or DEBUG
@@ -26,7 +27,8 @@ from .finray import (
     params_from_dict,
 )
 from .model import known_keys, load_case, structure_from_dict, typed
-from .solver import BracketInvalid, SolverConfig, probe_max_force, solve
+# unused here, but bench/tracer.py wraps finbeam.cli.probe_max_force
+from .solver import SolverConfig, probe_max_force, solve, trace_loads
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -223,50 +225,30 @@ def _list(name: str, value) -> list:
 
 
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
-    """Solve one sweep variant at every load magnitude; optionally probe."""
-    params = replace(spec.base_params, **{spec.axis: value})
-    model = generate(params)
+    """Trace one sweep variant's path once (trace_loads): its rows at every
+    load magnitude and, optionally, its probe."""
+    model = generate(replace(spec.base_params, **{spec.axis: value}))
     label = f"{spec.axis}={value}"
-    rows = []
-    loaded_node_disp = {}
-    for magnitude in spec.load_magnitudes:
-        case = load_at_contact_node(model, spec.load_node_rank, magnitude,
-                                    direction=spec.load_direction)
-        result = solve(model.structure, case, spec.config)
-        if result.increments:
-            disp = result.increments[-1].displacement
-            mean_iters = (sum(r.iterations for r in result.increments)
-                          / len(result.increments))
-        else:
-            disp = None
-            mean_iters = float("nan")
+    pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
+                                   direction=spec.load_direction).f_total
+    bracket = tuple(spec.probe[k] for k in DEFAULT_PROBE) if do_probe else None
+    records, max_force, probe_error = trace_loads(
+        model.structure, pattern, spec.load_magnitudes, spec.config, bracket)
+    if probe_error:
+        log.warning("probe for %s: %s", label, probe_error)
+    rows, loaded_node_disp = [], {}
+    for magnitude, record in zip(spec.load_magnitudes, records):
         for rank, node in enumerate(model.contact_nodes, start=1):
-            base = 3 * node
-            if result.completed:
-                u, w, theta = (disp[base], disp[base + 1], disp[base + 2])
-            else:
-                u = w = theta = float("nan")
+            u, w, theta = (record.displacement[3 * node:3 * node + 3]
+                           if record else [math.nan] * 3)
             rows.append({
                 "variant": label, "load_n": magnitude, "node_rank": rank,
                 "u": u, "w": w, "theta": theta,
-                "converged": result.completed,
-                "iterations": round(mean_iters, 3),
+                "converged": record is not None,
+                "iterations": record.iterations if record else math.nan,
             })
-            if rank == spec.load_node_rank and result.completed:
+            if rank == spec.load_node_rank and record:
                 loaded_node_disp[magnitude] = math.hypot(u, w)
-
-    max_force = probe_error = None
-    if do_probe:
-        pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
-                                       direction=spec.load_direction).f_total
-        try:
-            max_force = probe_max_force(
-                model.structure, pattern, spec.config,
-                spec.probe["f_lo"], spec.probe["f_hi"],
-                spec.probe["resolution"])
-        except BracketInvalid as exc:
-            probe_error = str(exc)
-            log.warning("probe for %s: %s", label, exc)
     return {"label": label, "value": value, "rows": rows,
             "max_allowable_force": max_force, "probe_error": probe_error,
             "loaded_node_disp": loaded_node_disp}

@@ -12,9 +12,9 @@ the exact count of its negative eigenvalues audits the state, and its
 solve gives the next predictor.
 
 ``solve`` samples the path at ``n_inc`` equal load levels and ends at its
-first instability, reported as data, not raised, so design sweeps can
-observe failures gracefully. The maximum-force probe traces to the single
-level f_hi and refines the first instability to the requested resolution.
+first instability, reported as data, not raised. ``trace_loads``, a design
+sweep's one path per variant, lands on given loads and on a probe's f_hi,
+refining the first instability to the probe's resolution.
 
 ``_trace`` runs silenced (assembly.silenced), so this module's
 update_member_data and assemble_tangent are unsilenced bodies.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +58,11 @@ class BracketInvalid(ValueError):
 class SolverConfig:
     """Stepping and convergence controls.
 
-    n_inc and maxiter are integers of at least 1, never bools; maxiter
-    bounds the corrector iterations per increment, summed over the steps
-    to its load level, a step that does not converge counting all it was
-    allowed. tolerance is the force-residual norm threshold in Newtons,
-    finite and positive.
+    n_inc and maxiter are integers of at least 1, never bools, and step
+    only ``solve``; maxiter bounds the corrector iterations per increment,
+    summed over the steps to its load level, a step that does not converge
+    counting all it was allowed. tolerance is the force-residual norm
+    threshold in Newtons, finite and positive.
     """
 
     n_inc: int = 10
@@ -176,41 +176,68 @@ def probe_max_force(
     f_hi: float,
     resolution: float,
 ) -> float:
-    """Load magnitude at the first instability of the path, within
-    resolution below it.
+    """The force of trace_loads with no loads and the bracket (f_lo, f_hi,
+    resolution); raises BracketInvalid with its probe error."""
+    _, force, error = trace_loads(structure, load_pattern, (), config,
+                                  (f_lo, f_hi, resolution))
+    if error:
+        raise BracketInvalid(error)
+    return force
 
-    Traces the path of ``lam * f_hi * load_pattern`` (typically a unit
-    force at one node) to the single level lam = 1 (see _trace), and
-    returns the load carried by the last positive-definite state before
-    the first instability, found to within ``resolution``, or before the
-    path ends otherwise. ``config`` supplies the residual tolerance;
+
+def trace_loads(
+    structure: Structure,
+    load_pattern: np.ndarray,
+    loads: Sequence[float],
+    config: SolverConfig,
+    bracket: Optional[tuple[float, float, float]] = None,
+) -> tuple[list[Optional[IncrementRecord]], Optional[float], Optional[str]]:
+    """Trace the path of ``lam * top * load_pattern`` (typically a unit
+    force at one node) once, landing on each of ``loads`` and, with a
+    probe bracket (f_lo, f_hi, resolution), on f_hi, top the largest of
+    them (see _trace). ``config`` supplies the residual tolerance;
     ``n_inc`` and ``maxiter`` do not step the path.
-    Raises BracketInvalid when f_lo >= f_hi, when a positive-definite state
-    at f_hi is reached ("still holds at f_hi") and when the returned force
-    falls below f_lo ("already collapses at f_lo"), and ValueError when
-    f_lo, f_hi or resolution is not finite. Deterministic for fixed inputs.
+
+    Returns the record at each of ``loads``, None past the path's end, its
+    iterations those spent since the previous level; and, with a bracket,
+    the probe's force or error, else None and None. The force is the load
+    carried by the last positive-definite state before the first
+    instability, found to within ``resolution``, or before the path ends
+    otherwise. The error is "still holds at f_hi" when a positive-definite
+    state at f_hi is reached and "already collapses at f_lo" when the force
+    falls below f_lo. Raises BracketInvalid when f_lo >= f_hi, and
+    ValueError when f_lo, f_hi or resolution is not finite, resolution is
+    not positive, or there is no load or one is not positive and finite.
+    Deterministic for fixed inputs.
     """
-    if not all(map(math.isfinite, (f_lo, f_hi, resolution))):
-        raise ValueError("f_lo, f_hi and resolution must be finite, got "
-                         f"{f_lo}, {f_hi} and {resolution}")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    f_lo, f_hi, resolution = bracket or (0.0, math.inf, math.inf)
+    if bracket and not (all(map(math.isfinite, bracket)) and resolution > 0):
+        raise ValueError("f_lo, f_hi and resolution must be finite and "
+                         f"resolution positive, got {bracket}")
     if not 0 <= f_lo < f_hi:
         raise BracketInvalid(f"need 0 <= f_lo < f_hi, got [{f_lo}, {f_hi}]")
+    targets = sorted({*loads, f_hi} if bracket else {*loads})
+    if not targets or not all(0 < f < math.inf for f in targets):
+        raise ValueError(f"loads must be positive and finite, got {loads}")
 
     pattern = np.asarray(load_pattern, dtype=float)
     if not np.any(pattern):
         raise ValueError("load pattern must be nonzero")
 
-    f_ref = make_load_case(structure, f_hi * pattern).f_total
-    records, _, good = _trace(structure, f_ref, [1.0], config.tolerance,
-                              math.inf, resolution / f_hi)
-    if records:
-        raise BracketInvalid(f"structure still holds at f_hi = {f_hi}")
-    force = 0.0 if good is None else f_hi * _carried(good, f_ref)
-    if force < f_lo:
-        raise BracketInvalid(f"structure already collapses at f_lo = {f_lo}")
-    return force
+    top = targets[-1]
+    f_ref = make_load_case(structure, top * pattern).f_total
+    records, _, good = _trace(structure, f_ref, [f / top for f in targets],
+                              config.tolerance, math.inf, resolution / top)
+    reached = dict(zip(targets, records))
+    force = error = None
+    if f_hi in reached:
+        error = f"structure still holds at f_hi = {f_hi}"
+    elif bracket:
+        force = 0.0 if good is None else top * _carried(good, f_ref)
+        if force < f_lo:
+            force = None
+            error = f"structure already collapses at f_lo = {f_lo}"
+    return [reached.get(f) for f in loads], force, error
 
 
 @dataclass(frozen=True)

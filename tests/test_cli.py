@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+import finbeam.solver
+from finbeam import (FinRayParams, SolverConfig, generate,
+                     load_at_contact_node, make_load_case, probe_max_force)
 from finbeam import cli
 from finbeam.cli import main
+from oracles import plain_path
 
 TILTED = [math.cos(math.radians(40.0)), -math.sin(math.radians(40.0))]
 
@@ -216,6 +220,15 @@ class TestSolve:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _probed(**params):
+    """The bare probe's force for one finger under the sweeps' loading
+    and the bracket (0.05, 4.0, 0.05), as criterion 6 pins it."""
+    model = generate(FinRayParams(**params))
+    pattern = load_at_contact_node(model, 2, 1.0, direction=TILTED).f_total
+    return probe_max_force(model.structure, pattern, SolverConfig(), 0.05,
+                           4.0, 0.05)
+
+
 def sweep_spec(values=(2, 3), probe_hi=2.0):
     return {
         "axis": "n_crossbeams",
@@ -253,8 +266,13 @@ class TestSweep:
         assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
         summary = json.loads((tmp_path / "report.summary.json").read_text())
         forces = [v["max_allowable_force"] for v in summary["variants"]]
-        assert forces == [pytest.approx(0.7991369553871157, abs=1e-9),
-                          pytest.approx(1.2815612778424734, abs=1e-9)]
+        assert forces == [pytest.approx(0.8003654692660995, abs=1e-9),
+                          pytest.approx(1.2813096210723034, abs=1e-9)]
+        # the path lands on the magnitudes on its way, so its force differs
+        # from the bare probe's (0.7991 and 1.2816 N in criterion 6) by
+        # less than the resolution
+        for force, connection in zip(forces, ("simple", "rigid")):
+            assert abs(force - _probed(connection=connection)) <= 0.05
         assert [v["probe_error"] for v in summary["variants"]] == [None, None]
         assert summary["trends"]["rigid_max_force_exceeds_simple"] is True
         assert summary["trends"]["simple_over_rigid_ratio"] > 1.0
@@ -285,11 +303,100 @@ class TestSweep:
         out = tmp_path / "report.csv"
         assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
         summary = json.loads((tmp_path / "report.summary.json").read_text())
-        assert summary["variants"][0]["max_allowable_force"] == \
-            pytest.approx(2.878988788646324, abs=1e-9)
-        converged = {(float(r["load_n"]), r["converged"])
-                     for r in read_csv(out)}
+        force = summary["variants"][0]["max_allowable_force"]
+        assert force == pytest.approx(2.880755438798847, abs=1e-9)
+        # criterion 6's bare probe gives 2.8790 N
+        assert abs(force - _probed(top_angle=30.0)) <= 0.05
+        rows = read_csv(out)
+        converged = {(float(r["load_n"]), r["converged"]) for r in rows}
         assert converged == {(2.0, "True"), (3.5, "False")}
+        # a row the path did not reach has no displacement or iterations
+        assert all(math.isnan(float(r[key])) for r in rows
+                   if r["converged"] == "False"
+                   for key in ("u", "w", "theta", "iterations"))
+
+    def test_converged_rows_never_exceed_the_probed_force(self, tmp_path):
+        # a solve from zero per magnitude reached 0.715 N on the
+        # two-crossbeam finger, while the probe's own path gave 0.71285 N.
+        # The pattern is a unit force, so the load a landed state carries
+        # differs from its level by at most the residual tolerance.
+        data = sweep_spec(values=(2,), probe_hi=4.0)
+        data["load_magnitudes"] = [0.2, 0.715]
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        force = summary["variants"][0]["max_allowable_force"]
+        rows = read_csv(out)
+        assert {r["converged"] for r in rows} == {"True"}
+        assert all(float(r["load_n"]) <= force + SolverConfig().tolerance
+                   for r in rows if r["converged"] == "True")
+
+    def test_rows_and_force_are_the_plain_path_at_the_sweep_levels(
+            self, tmp_path):
+        # the two-crossbeam finger collapses before 1.0 N, the default one
+        # holds the 1.2 N bracket end; exact equality, not pinned values
+        data = sweep_spec(values=(2, 3), probe_hi=1.2)
+        data["load_magnitudes"] = [0.2, 0.715, 1.0]
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        rows = read_csv(out)
+        tolerance = SolverConfig().tolerance
+        targets = [0.2, 0.715, 1.0, 1.2]
+        for value, variant in zip((2, 3), summary["variants"]):
+            model = generate(FinRayParams(n_crossbeams=value))
+            pattern = load_at_contact_node(model, 2, 1.0,
+                                           direction=TILTED).f_total
+            f_ref = make_load_case(model.structure, 1.2 * pattern).f_total
+            records, _, good = plain_path(
+                model.structure, f_ref, [f / 1.2 for f in targets],
+                tolerance, math.inf, 0.05 / 1.2)
+            if len(records) == len(targets):
+                assert variant["max_allowable_force"] is None
+                assert variant["probe_error"] == \
+                    "structure still holds at f_hi = 1.2"
+            else:
+                _, lam, r_vec, _ = good
+                assert variant["max_allowable_force"] == 1.2 * float(
+                    lam + (f_ref @ r_vec) / (f_ref @ f_ref))
+            mine = [r for r in rows if r["variant"] == variant["label"]]
+            assert len(mine) == 3 * len(model.contact_nodes)
+            for row in mine:
+                index = targets.index(float(row["load_n"]))
+                node = model.contact_nodes[int(row["node_rank"]) - 1]
+                got = [float(row[k]) for k in ("u", "w", "theta",
+                                               "iterations")]
+                if index < len(records):
+                    _, displacement, iterations, _ = records[index]
+                    assert row["converged"] == "True"
+                    assert got == [*displacement[3 * node:3 * node + 3],
+                                   iterations]
+                else:
+                    assert row["converged"] == "False"
+                    assert all(map(math.isnan, got))
+        assert [v["max_allowable_force"] is None
+                for v in summary["variants"]] == [False, True]
+
+    def test_each_variant_is_traced_once_without_solve(self, tmp_path,
+                                                       monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(finbeam.solver, "solve", no_solve)
+        traced = []
+        trace = finbeam.solver._trace
+
+        def counted(*args):
+            traced.append(args[0])
+            return trace(*args)
+        monkeypatch.setattr(finbeam.solver, "_trace", counted)
+        spec = write_json(tmp_path / "sweep.json", sweep_spec())
+        out = str(tmp_path / "report.csv")
+        assert main(["sweep", spec, out, "--probe-max-force"]) == 0
+        assert len(traced) == 2
+        assert traced[0] is not traced[1]
 
     def test_invalid_axis_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "sweep.json",
@@ -351,6 +458,7 @@ class TestSweep:
             raise AssertionError("a solve ran")
         monkeypatch.setattr(cli, "solve", no_solve)
         monkeypatch.setattr(cli, "probe_max_force", no_solve)
+        monkeypatch.setattr(cli, "trace_loads", no_solve)
         data = sweep_spec(values=(3,))
         data["probe"].update(probe)
         spec = write_json(tmp_path / "sweep.json", data)

@@ -26,6 +26,7 @@ from finbeam import (
     probe_max_force,
     residual,
     solve,
+    trace_loads,
     update_member_data,
 )
 from conftest import (AREA, E_MOD, FINGER_HEIGHT, INERTIA, STUDY_FINGERS,
@@ -514,6 +515,56 @@ def test_probe_is_bit_identical_to_the_plain_continuation(name, resolution):
         found = None
     assert found == expected
     assert (found is None) == (name == "top_angle=40")
+
+
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_sweep_path_agrees_with_a_solve_per_magnitude(name):
+    # a sweep's one path per variant lands on each magnitude on its way to
+    # the probe's f_hi; a solve from zero in 10 steps lands on the same
+    # load elsewhere within the residual tolerance of equilibrium, so the
+    # states differ by at most 2 tolerance / lambda_min(K) on the free
+    # DOFs, to first order, with K the tangent at the solve's state
+    model = generate(STUDY_FINGERS[name])
+    structure = model.structure
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    config = SolverConfig(n_inc=10)
+    loads = (0.4 * STUDY_LIMIT[name], 0.8 * STUDY_LIMIT[name])
+    records, _, _ = trace_loads(structure, pattern, loads, config,
+                                (0.05, 4.0, 0.05))
+    free = np.setdiff1d(np.arange(structure.n_dof), structure.supports.dofs)
+    for load, record in zip(loads, records):
+        result = solve(structure,
+                       make_load_case(structure, load * pattern), config)
+        assert result.completed and record is not None
+        state, _ = update_member_data(structure, result.final_displacement)
+        k_free = dense_tangent(structure, state)[np.ix_(free, free)]
+        bound = 2.0 * config.tolerance / np.linalg.eigvalsh(k_free)[0]
+        assert np.linalg.norm(record.displacement
+                              - result.final_displacement) <= bound
+
+
+@pytest.mark.parametrize("loads", [(), (0.0,), (-0.1,), (math.nan,),
+                                   (0.1, math.inf)])
+def test_trace_loads_needs_positive_finite_loads(make_cantilever, loads):
+    s = make_cantilever(4)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(4, "w")] = 1.0
+    with pytest.raises(ValueError, match="loads must be positive"):
+        trace_loads(s, pattern, loads, SolverConfig())
+
+
+def test_trace_loads_records_each_load_once(make_cantilever):
+    # a repeated load shares its record, and the probe's f_hi gets none
+    s = make_cantilever(4)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(4, "u")] = 1.0   # axial load never collapses a bar
+    records, force, error = trace_loads(s, pattern, (0.2, 0.2, 0.4),
+                                        SolverConfig(), (0.01, 0.5, 0.01))
+    assert records[0] is records[1]
+    assert [r.n for r in records] == [1, 1, 2]
+    assert force is None
+    assert error == "structure still holds at f_hi = 0.5"
 
 
 class Livelock(Exception):
