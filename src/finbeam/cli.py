@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import math
@@ -68,6 +69,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def run() -> int:
+    """The program entry of `finbeam` and `python -m finbeam`: main()'s exit
+    code, with the heap frozen on the way out (also when argparse exits), so
+    that the exiting interpreter's garbage collections skip every object
+    numpy and the run created. Exit still runs atexit, which flushes
+    logging, and flushes stdio; main() has closed its output files. main()
+    itself never freezes: library callers keep their collector as it was."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,7 +347,3 @@ def _cmd_sweep(args) -> int:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -502,12 +502,14 @@ def test_tangent_matches_finite_differences_on_random_frames(
 # LAPACK binding. The test process has imported scipy.linalg already (the
 # oracles use scipy), so the fast binding is checked in fresh interpreters.
 
-def fresh_python(*args):
-    """Run a fresh interpreter that imports this finbeam."""
+def fresh_python(*args, **run_kwargs):
+    """Run a fresh interpreter that imports this finbeam; subprocess.run's
+    result, which checks the exit code unless run_kwargs say check=False."""
     src = str(Path(finbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, *args], env=env, check=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          **{"check": True, **run_kwargs})
 
 
 NO_SCIPY_LINALG = """

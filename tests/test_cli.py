@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 
@@ -10,6 +11,7 @@ from finbeam import (FinRayParams, SolverConfig, generate,
 from finbeam import cli
 from finbeam.cli import main
 from oracles import plain_path
+from test_assembly import fresh_python
 
 TILTED = [math.cos(math.radians(40.0)), -math.sin(math.radians(40.0))]
 
@@ -518,3 +520,47 @@ def test_mistyped_structure_exits_2(tmp_path, structure_file, capsys,
                       {"forces": [{"node": 4, "fx": 0.1}]})
     assert main(["solve", bad, load, str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    # run() freezes the heap on the way out of the program; main() is also
+    # the library's entry, and must not freeze its caller's heap
+    spec = write_json(tmp_path / "sweep.json", sweep_spec())
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["sweep", spec, str(tmp_path / "r.csv"),
+                 "--probe-max-force"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def _exits_alike(capsys, args, code):
+    """`python -m finbeam ARGS` in a fresh interpreter exits with code, and
+    its stderr ends with all that main(ARGS) printed here (log records,
+    which FINBEAM_LOG_LEVEL may turn on, go to pytest here)."""
+    assert main(args) == code
+    err = capsys.readouterr().err
+    fresh = fresh_python("-m", "finbeam", *args, check=False,
+                         capture_output=True, text=True)
+    assert fresh.returncode == code
+    assert err and fresh.stderr.endswith(err)
+    return err
+
+
+def test_fresh_process_invalid_input_exits_2(tmp_path, capsys):
+    data = {**sweep_spec(values=(3,)), "load_directon": TILTED}
+    spec = write_json(tmp_path / "sweep.json", data)
+    err = _exits_alike(capsys, ["sweep", spec, str(tmp_path / "r.csv")], 2)
+    assert err == ("error: sweep: unknown key(s) ['load_directon'], "
+                   f"expected some of {list(cli.SWEEP_KEYS)}\n")
+
+
+def test_fresh_process_divergence_exits_3(tmp_path, capsys):
+    # past the top-angle-30 finger's 2.88 N limit point
+    params = write_json(tmp_path / "p.json", {"top_angle": 30.0})
+    structure = tmp_path / "s.json"
+    assert main(["generate", params, str(structure)]) == 0
+    node = json.loads(structure.read_text())["contact_nodes"][1]
+    load = write_json(tmp_path / "load.json", {"forces": [
+        {"node": node, "fx": 3.5 * TILTED[0], "fy": 3.5 * TILTED[1]}]})
+    err = _exits_alike(capsys, ["solve", str(structure), load,
+                                str(tmp_path / "r.csv"), "--n-inc", "10"], 3)
+    assert err.startswith("diverged at increment ")
