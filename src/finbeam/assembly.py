@@ -101,8 +101,8 @@ class ElementState:
     In element order: ``length`` (n,) the chord lengths L, ``cs`` (n, 4)
     the chord columns (c, s, c/L, s/L) of ``current_geometry``, and
     ``n_axial``, ``m1``, ``m2`` (n,) the local forces [N, M1, M2]; ``cs``
-    and ``n_axial`` view ``rows``, the state's element_tangent_rows (None
-    if built by hand). Derived on access: ``r`` and ``z`` (n, 6), the axial
+    and ``n_axial`` view ``rows``, the state's filled copy of
+    Structure.element_tangent_rows. Derived on access: ``r`` and ``z`` (n, 6), the axial
     directions [-c, -s, 0, c, s, 0] and their perpendiculars, and ``b``
     (n, 3, 6), B = [r; e3 - z/L; e6 - z/L], which maps global increments
     to local ones. Not frozen: a frozen dataclass's __init__ costs four
@@ -113,7 +113,7 @@ class ElementState:
     n_axial: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
     @property
     def r(self) -> np.ndarray:
@@ -164,8 +164,9 @@ def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
     with equal powers of c, s and 1/L are one number and share one basis
     row: x_i x_j with x_j x_i, and c (s/L) with s (c/L). Each term is
     symmetric for every chord, so each row is too. Returns the features'
-    (coefficient, x_i, x_j) as numbers of the rows (EA/L0, EI/L0, N,
-    M1+M2, 1, c, s, c/L, s/L), and the basis, of small exact integers."""
+    (coefficient, x_i, x_j) as numbers of the rows (EA/L0, EI/L0, EI/L0,
+    N, M1+M2, 1, c, s, c/L, s/L), and the basis, of small exact
+    integers."""
     (r0, r1), (z0, z1) = _R_OF_CS, _Z_OF_CS
     r, z = {1: r0, 2: r1}, {1: z0, 2: z1}
     r_l, z_l = {3: r0, 4: r1}, {3: z0, 4: z1}   # r/L and z/L
@@ -174,11 +175,11 @@ def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
              [(1, z, z_l)], [(1, r_l, z_l), (1, z_l, r_l)])
     powers = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
     rows: dict[tuple, tuple] = {}
-    for coefficient, pattern in enumerate(terms):
+    for coefficient, pattern in zip((0, 1, 3, 4), terms):
         for weight, u, v in pattern:
             for (i, u_i), (j, v_j) in itertools.product(u.items(), v.items()):
                 key = (coefficient, *(powers[i] + powers[j]))
-                block = rows.setdefault(key, ((coefficient, 4 + i, 4 + j),
+                block = rows.setdefault(key, ((coefficient, 5 + i, 5 + j),
                                               np.zeros((6, 6))))[1]
                 block += weight * np.outer(u_i, v_j)
     features, blocks = zip(*rows.values())
@@ -243,17 +244,17 @@ def update_member_data(
     """
     p = displacement[structure.element_dof_rows]
     rows = structure.element_tangent_rows.copy()
-    length, cs = current_geometry(structure, p.T, rows[5:])
+    length, cs = current_geometry(structure, p.T, rows[6:])
     beta = np.arctan2(cs[:, 1], cs[:, 0])
     local = np.empty((3, len(length)))  # u_l, theta_1l, theta_2l
     np.subtract(length, structure.element_l0, out=local[0])
     np.add(p[2::3], structure.element_beta0 - beta, out=local[1:])
     _wrap_angles(local[1:])
-    local *= structure.element_local_moduli  # local[0] is now N
-    rows[2] = local[0]
+    local *= rows[:3]  # local[0] is now N
+    rows[3] = local[0]
     weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
-    np.add(weights[4], weights[5], out=rows[3])
-    state = ElementState(length, cs, rows[2], weights[4], weights[5], rows)
+    np.add(weights[4], weights[5], out=rows[4])
+    state = ElementState(length, cs, rows[3], weights[4], weights[5], rows)
     weights[:4] *= cs.T
     q = weights.T @ Q_BASIS
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
@@ -279,11 +280,8 @@ def element_tangent_stiffness(
     of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
     M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
     """
-    rows = state.rows  # (EA/L0, EI/L0, N, M1+M2), then x
-    if rows is None:  # a state built by hand
-        rows = np.vstack((structure.element_tangent_rows[:5], state.cs.T))
-        rows[2:4] = state.n_axial, state.m1 + state.m2
-    factors = rows.take(_FEATURE_ROWS, axis=0)  # half the cost of rows[...]
+    # half the cost of state.rows[_FEATURE_ROWS]
+    factors = state.rows.take(_FEATURE_ROWS, axis=0)
     features = factors[0] * factors[1]
     features *= factors[2]
     return (features.T @ K_BASIS).reshape(len(state.length), 6, 6)

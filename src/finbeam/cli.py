@@ -28,8 +28,10 @@ from .finray import (
     params_from_dict,
 )
 from .model import known_keys, load_case, structure_from_dict, typed
-# unused here, but bench/tracer.py wraps finbeam.cli.probe_max_force
-from .solver import SolverConfig, probe_max_force, solve, trace_loads
+# probe_max_force is unused here, but bench/tracer.py wraps
+# finbeam.cli.probe_max_force
+from .solver import (COLLAPSES, STILL_HOLDS, SolverConfig, probe_max_force,
+                     solve, trace_loads)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -239,8 +241,9 @@ def _list(name: str, value) -> list:
 
 
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
-    """Trace one sweep variant's path once (trace_loads): its rows at every
-    load magnitude and, optionally, its probe."""
+    """Trace one sweep variant's path once (trace_loads): its CSV rows at
+    every load magnitude, as the writer takes them, and, optionally, its
+    probe."""
     model = generate(replace(spec.base_params, **{spec.axis: value}))
     label = f"{spec.axis}={value}"
     pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
@@ -255,12 +258,10 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
         for rank, node in enumerate(model.contact_nodes, start=1):
             u, w, theta = (record.displacement[3 * node:3 * node + 3]
                            if record else [math.nan] * 3)
-            rows.append({
-                "variant": label, "load_n": magnitude, "node_rank": rank,
-                "u": u, "w": w, "theta": theta,
-                "converged": record is not None,
-                "iterations": record.iterations if record else math.nan,
-            })
+            rows.append([
+                label, repr(float(magnitude)), rank, repr(float(u)),
+                repr(float(w)), repr(float(theta)), record is not None,
+                repr(float(record.iterations if record else math.nan))])
             if rank == spec.load_node_rank and record:
                 loaded_node_disp[magnitude] = math.hypot(u, w)
     return {"label": label, "value": value, "rows": rows,
@@ -300,14 +301,26 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
                 trends["rigid_max_force_exceeds_simple"] = (
                     by_value["rigid"] > by_value["simple"])
         else:
-            # A variant that sustains the whole bracket (None) counts as
-            # stronger than any probed value, but only at the top end.
-            finite = [f for f in forces if f is not None]
-            nones_trailing = all(f is None for f in forces[len(finite):])
-            trends["max_force_ascending"] = (
-                nones_trailing
-                and all(a < b for a, b in zip(finite, finite[1:])))
+            # a variant that holds at f_hi is stronger than any probed force
+            # (variants that all hold tie at the top), one that collapses
+            # below f_lo weaker; any other probe error leaves no verdict
+            ranks = [_strength(v) for v in variants]
+            trends["max_force_ascending"] = None not in ranks and all(
+                a < b or a == b == math.inf for a, b in zip(ranks, ranks[1:]))
     return trends
+
+
+def _strength(variant: dict) -> Optional[float]:
+    """A probed variant's force, +inf when it still holds at f_hi, -inf
+    when it already collapses at f_lo, or None after another probe error."""
+    error = variant["probe_error"]
+    if error is None:
+        return variant["max_allowable_force"]
+    if error.startswith(STILL_HOLDS):
+        return math.inf
+    if error.startswith(COLLAPSES):
+        return -math.inf
+    return None
 
 
 def _cmd_sweep(args) -> int:
@@ -321,14 +334,7 @@ def _cmd_sweep(args) -> int:
         writer.writerow(["variant", "load_n", "node_rank", "u", "w", "theta",
                          "converged", "iterations"])
         for variant in variants:
-            for row in variant["rows"]:
-                writer.writerow([
-                    row["variant"], repr(float(row["load_n"])),
-                    row["node_rank"],
-                    repr(float(row["u"])), repr(float(row["w"])),
-                    repr(float(row["theta"])),
-                    row["converged"], repr(float(row["iterations"])),
-                ])
+            writer.writerows(variant["rows"])
 
     summary = {
         "axis": spec.axis,

@@ -99,12 +99,8 @@ class FinRayParams:
     refinement: int = 4
 
     def __post_init__(self):
-        typed_fields(self)
-        for name in ("width", "height", "section_b", "section_h", "e_modulus",
-                     "refinement"):
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        typed_fields(self, positive=("width", "height", "section_b",
+                                     "section_h", "e_modulus", "refinement"))
         if not 0 < self.top_angle < 90:
             raise ValueError(f"top_angle must be in (0, 90) degrees, "
                              f"got {self.top_angle}")

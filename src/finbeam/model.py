@@ -213,36 +213,27 @@ class Structure:
               for e in self.elements]])
 
     @cached_property
-    def element_local_moduli(self) -> np.ndarray:
-        """(3, n_elements) rows EA/L0, EI/L0, EI/L0: element_moduli with its
-        second row repeated, one row for each local deformation [u_l,
-        theta_1l, theta_2l]; read-only."""
-        return _read_only(self.element_moduli[[0, 1, 1]])
-
-    @cached_property
     def element_tangent_rows(self) -> np.ndarray:
-        """(9, n_elements) template of element_tangent_stiffness's rows
-        (EA/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L) with the moduli and
-        the row of ones filled in and zeros in the rows each state fills in
-        its own copy; read-only."""
-        rows = np.zeros((9, len(self.elements)))
-        rows[:2] = self.element_moduli
-        rows[4] = 1.0
+        """(10, n_elements) template of an ElementState's rows (EA/L0,
+        EI/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L): the moduli of the local
+        deformations [u_l, theta_1l, theta_2l] and the row of ones filled
+        in, zeros in the rows each state fills in its own copy; read-only."""
+        rows = np.zeros((10, len(self.elements)))
+        rows[:3] = self.element_moduli[[0, 1, 1]]
+        rows[5] = 1.0
         return _read_only(rows)
 
     @cached_property
     def unloaded(self) -> tuple:
-        """(state, f_int, tangent) at zero displacement, where every solve
-        and probe starts: the ElementState and internal force of
-        update_member_data and the free-DOF band of assemble_tangent, every
-        array read-only."""
+        """(f_int, tangent) at zero displacement, where every solve and probe
+        starts: the internal force of update_member_data and the free-DOF
+        band of assemble_tangent, both read-only."""
         from .assembly import assemble_tangent, update_member_data
         state, f_int = update_member_data(self, np.zeros(self.n_dof))
         tangent = assemble_tangent(self, state)
-        for arr in (state.length, state.cs, state.n_axial, state.m1,
-                    state.m2, state.rows, f_int, tangent):
+        for arr in (f_int, tangent):
             arr.setflags(write=False)
-        return state, f_int, tangent
+        return f_int, tangent
 
     @cached_property
     def free_band(self) -> FreeBand:
@@ -538,7 +529,12 @@ def typed(name: str, value, kind: type):
     return kind(value)
 
 
-def typed_fields(instance) -> None:
-    """typed on each dataclass field, of the kind its annotation text names."""
+def typed_fields(instance, positive: Sequence[str] = ()) -> None:
+    """typed on each dataclass field, of the kind its annotation text names;
+    then ValueError when a field named in ``positive`` is not above 0."""
     for field in fields(instance):
         typed(field.name, getattr(instance, field.name), _BY_NAME[field.type])
+    for name in positive:
+        if not getattr(instance, name) > 0:
+            raise ValueError(
+                f"{name} must be positive, got {getattr(instance, name)}")

@@ -48,6 +48,15 @@ ARC_TARGET_ITERATIONS = 3
 ARC_MAX_ITERATIONS = 5
 ARC_MAX_GROWTH = 2.0
 ARC_MAX_CUTS = 10
+# The positive-definite states a path may accept past its first instability
+# while it refines the crossing step; more than 3x the 18 that any probe
+# that resolves its instability accepts on the study fingers. A refinement
+# past it crawls toward an instability it no longer reaches.
+REFINE_MAX_STATES = 64
+# How trace_loads's probe errors begin when the path holds at f_hi or
+# collapses below f_lo; a sweep ranks those variants by them.
+STILL_HOLDS = "structure still holds at f_hi"
+COLLAPSES = "structure already collapses at f_lo"
 
 
 class BracketInvalid(ValueError):
@@ -71,11 +80,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # a NaN or infinite tolerance would accept any residual unchecked
-        typed_fields(self)
-        for name in ("n_inc", "tolerance", "maxiter"):
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        typed_fields(self, positive=("n_inc", "tolerance", "maxiter"))
 
 
 @dataclass(frozen=True)
@@ -205,10 +210,11 @@ def trace_loads(
     instability, found to within ``resolution``, or before the path ends
     otherwise. The error is "still holds at f_hi" when a positive-definite
     state at f_hi is reached and "already collapses at f_lo" when the force
-    falls below f_lo. Raises BracketInvalid when f_lo >= f_hi, and
-    ValueError when f_lo, f_hi or resolution is not finite, resolution is
-    not positive, or there is no load or one is not positive and finite.
-    Deterministic for fixed inputs.
+    falls below f_lo, and names the resolution and REFINE_MAX_STATES when
+    the refinement ends at that bound. Raises BracketInvalid when
+    f_lo >= f_hi, and ValueError when f_lo, f_hi or resolution is not
+    finite, resolution is not positive, or there is no load or one is not
+    positive and finite. Deterministic for fixed inputs.
     """
     f_lo, f_hi, resolution = bracket or (0.0, math.inf, math.inf)
     if bracket and not (all(map(math.isfinite, bracket)) and resolution > 0):
@@ -226,17 +232,22 @@ def trace_loads(
 
     top = targets[-1]
     f_ref = make_load_case(structure, top * pattern).f_total
-    records, _, good = _trace(structure, f_ref, [f / top for f in targets],
-                              config.tolerance, math.inf, resolution / top)
+    records, cause, good = _trace(structure, f_ref,
+                                  [f / top for f in targets],
+                                  config.tolerance, math.inf, resolution / top)
     reached = dict(zip(targets, records))
     force = error = None
     if f_hi in reached:
-        error = f"structure still holds at f_hi = {f_hi}"
+        error = f"{STILL_HOLDS} = {f_hi}"
+    elif cause == "refinement bound":
+        error = (f"refinement bound: the first instability is not resolved "
+                 f"to resolution = {resolution} within {REFINE_MAX_STATES} "
+                 "states past it")
     elif bracket:
         force = 0.0 if good is None else top * _carried(good, f_ref)
         if force < f_lo:
             force = None
-            error = f"structure already collapses at f_lo = {f_lo}"
+            error = f"{COLLAPSES} = {f_lo}"
     return [reached.get(f) for f in loads], force, error
 
 
@@ -280,18 +291,20 @@ def _trace(
 
     Past an instability the path restarts from the last positive-definite
     state at half the step length until the crossing step is at most
-    ``lam_resolution``. Returns the records of the levels reached, the
-    cause that ended the path (None when every level was reached) and the
-    last positive-definite state (None when the unloaded tangent is not).
+    ``lam_resolution``; it ends "refinement bound" at the first
+    positive-definite state past REFINE_MAX_STATES in that refinement.
+    Returns the records of the levels reached, the cause that ended the
+    path (None when every level was reached) and the last
+    positive-definite state (None when the unloaded tangent is not).
     """
     f_free = apply_supports(f_ref, structure.free_band)
-    _, f_int, k_s = structure.unloaded
+    f_int, k_s = structure.unloaded
     u, lam = np.zeros(structure.n_dof), 0.0
     r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
     records: list[IncrementRecord] = []
     good = None
     landed = refining = False
-    cuts = spent = 0
+    cuts = spent = refined = 0
     while True:
         try:
             x_f, negative = solve_linear(k_s, f_free)
@@ -310,6 +323,12 @@ def _trace(
             elif not refining:
                 arc *= min(ARC_MAX_GROWTH, math.sqrt(
                     ARC_TARGET_ITERATIONS / max(iterations, 1)))
+            elif refined == REFINE_MAX_STATES:
+                log.info("refinement ended at load factor %.6g after %d "
+                         "states", lam, refined)
+                return records, "refinement bound", good
+            else:
+                refined += 1
             good, cuts = _PathState(u, lam, r_vec, x_f), 0
             if landed:
                 records.append(IncrementRecord(len(records) + 1, u, spent,

@@ -531,7 +531,11 @@ for name in ("dpbsv", "dsytrf", "dsytrs"):
     + NO_SCIPY_LINALG + "flapack = sys.modules['scipy.linalg._flapack']"
     + SAME_ROUTINES + "assert scipy.linalg.lapack._flapack is flapack",
     "import scipy.linalg" + SAME_ROUTINES,
-], ids=["finbeam-first", "scipy-linalg-first"])
+    # no extension file found: finbeam imports scipy.linalg.lapack itself
+    "import importlib.machinery, sys\n"
+    "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+    "import finbeam\nassert 'scipy.linalg' in sys.modules" + SAME_ROUTINES,
+], ids=["finbeam-first", "scipy-linalg-first", "no-extension-file"])
 def test_lapack_routines_are_scipy_linalg_lapacks(script):
     fresh_python("-c", script)
 

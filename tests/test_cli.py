@@ -294,6 +294,29 @@ class TestSweep:
         # a variant that holds the whole bracket counts as the strongest
         assert summary["trends"]["max_force_ascending"] is True
 
+    @pytest.mark.parametrize("axis, values, probe, ascending", [
+        # 2 crossbeams collapse below 1.0 N, 3 hold to 1.28 N
+        ("n_crossbeams", [3, 2], {"f_lo": 1.0}, False),
+        ("n_crossbeams", [2, 3], {"f_lo": 1.0}, True),
+        # top angle 30's probe ends at the refinement bound
+        ("top_angle", [20.0, 30.0], {"resolution": 1e-9}, False),
+    ], ids=["collapse-last", "collapse-first", "refinement-bound"])
+    def test_probe_errors_rank_in_the_force_trend(self, tmp_path, axis,
+                                                  values, probe, ascending):
+        data = {"axis": axis, "values": values, "load_magnitudes": [0.2],
+                "load_direction": TILTED, "probe": probe}
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        errors = [v["probe_error"] for v in summary["variants"]]
+        assert sum(e is None for e in errors) == 1
+        assert [e for e in errors if e] in (
+            ["structure already collapses at f_lo = 1.0"],
+            ["refinement bound: the first instability is not resolved to "
+             "resolution = 1e-09 within 64 states past it"])
+        assert summary["trends"]["max_force_ascending"] is ascending
+
     def test_no_row_past_the_probed_force_reads_converged(self, tmp_path):
         # force control completed top angle 30 at 3.5 N in 10 steps on
         # another branch, past its 2.88 N limit, and the sweep wrote

@@ -283,8 +283,10 @@ def test_overflow_scale_forces_raise_no_warning():
         assert state.n_axial[0] == pytest.approx(1e300)
         assert np.isfinite(q).all() and np.isfinite(k).all()
         # an overflowed feature N c (c/L) gives a non-finite tangent
-        state = ElementState(np.array([1e-9]), np.array([[1.0, 0.0, 1e9, 0.0]]),
-                             np.array([1e300]), np.zeros(1), np.zeros(1))
+        rows = s.element_tangent_rows.copy()
+        rows[3], rows[6:] = 1e300, [[1.0], [0.0], [1e9], [0.0]]
+        state = ElementState(np.array([1e-9]), rows[6:].T, rows[3],
+                             np.zeros(1), np.zeros(1), rows)
         assert not np.isfinite(element_tangent_stiffness(s, state)).all()
 
 

@@ -131,6 +131,18 @@ class TestGenerate:
         with pytest.raises(GeometryInfeasible):
             generate(FinRayParams(top_angle=60.0, inclination=44.0))
 
+    @pytest.mark.parametrize("params, match", [
+        (FinRayParams(top_angle=80.0, inclination=44.0),
+         "never reaches the back fin"),
+        # consecutive crossbeams attach within rounding of each other on
+        # a back fin that lies almost flat
+        (FinRayParams(top_angle=90.0 - 1e-13, inclination=-40.0,
+                      n_crossbeams=5), "crossbeams overlap on the back fin"),
+    ], ids=["never-reaches", "overlap"])
+    def test_infeasible_layout_names_its_cause(self, params, match):
+        with pytest.raises(GeometryInfeasible, match=match):
+            generate(params)
+
     def test_deterministic(self):
         a = generate(FinRayParams())
         b = generate(FinRayParams())
@@ -166,6 +178,11 @@ class TestLoadAtContactNode:
         model = generate(FinRayParams())
         with pytest.raises(UnknownContactNode):
             load_at_contact_node(model, 99, 0.5)
+
+    def test_zero_direction_rejected(self):
+        model = generate(FinRayParams())
+        with pytest.raises(ValueError, match="nonzero vector"):
+            load_at_contact_node(model, 1, 2.0, direction=(0.0, 0.0))
 
     def test_custom_direction_normalised(self):
         model = generate(FinRayParams())

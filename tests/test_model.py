@@ -22,6 +22,7 @@ from finbeam import (
     build_structure,
     generate,
     load_case,
+    make_load_case,
     structure_from_dict,
     structure_to_dict,
     update_member_data,
@@ -84,6 +85,32 @@ def test_unconstrained_rejected():
     with pytest.raises(UnconstrainedStructure):
         build_structure([(0, 0.0, 0.0), (1, 1.0, 0.0)],
                         [(0, 1, props())], {0: (False, False, True)})
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: build_structure([(0, 0.0, 0.0), (1, math.inf, 0.0)],
+                             [(0, 1, props())], {0: FIXED}),
+     ModelError, "node 1 has non-finite coordinates"),
+    (lambda: build_structure([(0, 0.0, 0.0), (1, 1.0, 0.0)],
+                             [(0, 1, props())], {0: FIXED, 2: FIXED}),
+     UnknownNode, "support references missing node 2"),
+    (lambda: build_structure([], [], {}), UnconstrainedStructure,
+     "mechanism"),
+    (lambda: build_structure([], [], {0: FIXED}), UnknownNode,
+     "missing node 0"),
+    # build_structure stops both before its connectivity check
+    (lambda: finbeam.model._check_connected(0, []), ModelError,
+     "structure has no nodes"),
+    (lambda: load_case(chain(2), {1: (1.0, 0.0)}),
+     ModelError, r"load at node 1 must give \(fx, fy, moment\)"),
+    (lambda: make_load_case(chain(2), np.zeros(5)),
+     ModelError, r"force vector has shape \(5,\), expected \(6,\)"),
+], ids=["non-finite-node", "support-on-missing-node", "no-nodes",
+        "no-nodes-supported", "no-nodes-connected", "load-not-3-components",
+        "force-wrong-shape"])
+def test_malformed_input_rejected(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_every_dof_fixed_rejected():
@@ -331,23 +358,17 @@ def test_per_structure_constants(name):
     assert rows.flags.c_contiguous
     assert np.array_equal(structure.element_min_length,
                           1e-14 * structure.element_l0)
-    assert np.array_equal(structure.element_local_moduli,
-                          moduli[[0, 1, 1]])
     template = structure.element_tangent_rows
-    assert np.array_equal(template[:2], moduli)
-    assert np.all(template[4] == 1.0)
-    state, f_int, tangent = structure.unloaded
+    assert np.array_equal(template[:3], moduli[[0, 1, 1]])
+    assert np.all(template[5] == 1.0)
+    assert not template[[3, 4, 6, 7, 8, 9]].any()
+    f_int, tangent = structure.unloaded
     fresh_state, fresh_f_int = update_member_data(
         structure, np.zeros(structure.n_dof))
     assert np.array_equal(f_int, fresh_f_int)
     assert np.array_equal(tangent, assemble_tangent(structure, fresh_state))
-    fields = [field.name for field in dataclasses.fields(state)]
-    for field in fields:
-        assert np.array_equal(getattr(state, field),
-                              getattr(fresh_state, field))
-    for arr in (rows, structure.element_min_length,
-                structure.element_local_moduli, template, f_int, tangent,
-                *(getattr(state, field) for field in fields)):
+    for arr in (rows, structure.element_min_length, template, f_int,
+                tangent):
         assert not arr.flags.writeable
 
 

@@ -15,6 +15,7 @@ from finbeam import (
     FinRayParams,
     LoadCase,
     ModelError,
+    SolveResult,
     SolverConfig,
     SupportSet,
     build_structure,
@@ -554,6 +555,22 @@ def test_trace_loads_needs_positive_finite_loads(make_cantilever, loads):
         trace_loads(s, pattern, loads, SolverConfig())
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda s, p: trace_loads(s, p, (), SolverConfig(), (0.5, 0.5, 0.01)),
+     BracketInvalid, r"need 0 <= f_lo < f_hi, got \[0.5, 0.5\]"),
+    (lambda s, p: trace_loads(s, 0.0 * p, (0.1,), SolverConfig()),
+     ValueError, "load pattern must be nonzero"),
+    (lambda s, p: SolveResult([], "SingularMatrix").final_displacement,
+     ValueError, "no converged increments"),
+], ids=["empty-bracket", "zero-pattern", "no-increments"])
+def test_unusable_requests_raise(make_cantilever, call, error, match):
+    s = make_cantilever(4)
+    pattern = np.zeros(s.n_dof)
+    pattern[s.dof_index(4, "w")] = 1.0
+    with pytest.raises(error, match=match):
+        call(s, pattern)
+
+
 def test_trace_loads_records_each_load_once(make_cantilever):
     # a repeated load shares its record, and the probe's f_hi gets none
     s = make_cantilever(4)
@@ -607,6 +624,54 @@ def test_probe_ends_when_a_step_cannot_move_the_load_factor(
         # at the same state
         assert found == probe_max_force(model.structure, pattern, config,
                                         0.05, f_hi, 1e-20 * f_hi)
+
+
+def _tip_loaded_beam():
+    """One clamped beam element under a tip force and moment, and the
+    pattern's bracket end, 0.526 N."""
+    props = ElementProps(E_MOD, AREA, INERTIA)
+    s = build_structure([(0, 0.0, 0.0), (1, -0.1533, 0.6554)],
+                        [(0, 1, props)], {0: FIXED})
+    return s, np.array([0.0, 0.0, 0.0, -0.3405, 0.5769, -0.3936]), 0.0, 0.526
+
+
+def _simple_connection_finger():
+    model = generate(FinRayParams(connection="simple"))
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    return model.structure, pattern, 0.05, 4.0
+
+
+@pytest.mark.parametrize("case, share, solves", [
+    (_tip_loaded_beam, 1e-4, 168), (_tip_loaded_beam, 1e-5, 168),
+    (_simple_connection_finger, 1e-9 / 4.0, 160),
+], ids=["beam-1e-4", "beam-1e-5", "simple-1e-9"])
+def test_probe_refinement_ends_at_its_bound(case, share, solves,
+                                            monkeypatch):
+    # Past a first instability that a corrector jump found, the path never
+    # reaches it again and crawls toward it by about 3e-13 in lambda per
+    # step; these probes used to run past 4000 linear solves. Probes that
+    # resolve their instability accept at most 18 states past it.
+    exact = finbeam.solver.solve_linear
+    calls = []
+
+    def counted(band, rhs):
+        calls.append(rhs.shape)
+        if len(calls) > 2000:
+            raise Livelock
+        return exact(band, rhs)
+
+    monkeypatch.setattr(finbeam.solver, "solve_linear", counted)
+    structure, pattern, f_lo, f_hi = case()
+    resolution = share * f_hi
+    _, force, error = trace_loads(structure, pattern, (), SolverConfig(),
+                                  (f_lo, f_hi, resolution))
+    assert force is None
+    assert error == (
+        "refinement bound: the first instability is not resolved to "
+        f"resolution = {resolution} within "
+        f"{finbeam.solver.REFINE_MAX_STATES} states past it")
+    assert len(calls) == solves
 
 
 @pytest.mark.xfail(strict=True, raises=BracketInvalid, reason=(
