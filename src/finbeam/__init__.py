@@ -40,7 +40,6 @@ from .model import (
 )
 from .assembly import (
     DegenerateElement,
-    ElementState,
     SingularMatrix,
     apply_supports,
     assemble_tangent,
@@ -83,8 +82,8 @@ __all__ = [
     "ModelError", "DuplicateNode", "DanglingElement", "Disconnected",
     "UnconstrainedStructure", "UnknownNode",
     # assembly
-    "ElementState", "update_member_data", "assemble_tangent",
-    "apply_supports", "solve_linear", "SingularMatrix", "DegenerateElement",
+    "update_member_data", "assemble_tangent", "apply_supports",
+    "solve_linear", "SingularMatrix", "DegenerateElement",
     # solver
     "SolverConfig", "IncrementRecord", "SolveResult", "residual", "solve",
     "probe_max_force", "path_is_stable", "BracketInvalid", "trace_loads",

@@ -10,7 +10,8 @@ element's six nodal displacements enter as p = [u1, w1, theta1, u2, w2,
 theta2].
 
 The kernels work on all elements at once, each quantity a contiguous row
-over the elements. Every vector of an element's force and tangent is
+over the elements; ten such rows are an element state (see
+update_member_data). Every vector of an element's force and tangent is
 linear in x = (1, c, s, c/L, s/L), with (c, s) the chord's direction
 cosines and L its length, so F_int is six weights per element times
 Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
@@ -30,7 +31,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,42 +91,6 @@ class SingularMatrix(RuntimeError):
 
 class DegenerateElement(RuntimeError):
     """The two displaced nodes of an element (nearly) coincide."""
-
-
-@dataclass(slots=True)
-class ElementState:
-    """Chords and local forces of every element at one displacement state,
-    built by ``update_member_data`` and read by ``assemble_tangent``.
-
-    In element order: ``length`` (n,) the chord lengths L, ``cs`` (n, 4)
-    the chord columns (c, s, c/L, s/L) of ``current_geometry``, and
-    ``n_axial``, ``m1``, ``m2`` (n,) the local forces [N, M1, M2]; ``cs``
-    and ``n_axial`` view ``rows``, the state's filled copy of
-    Structure.element_tangent_rows. Derived on access: ``r`` and ``z`` (n, 6), the axial
-    directions [-c, -s, 0, c, s, 0] and their perpendiculars, and ``b``
-    (n, 3, 6), B = [r; e3 - z/L; e6 - z/L], which maps global increments
-    to local ones. Not frozen: a frozen dataclass's __init__ costs four
-    times as much, once per Newton iteration."""
-
-    length: np.ndarray
-    cs: np.ndarray
-    n_axial: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    rows: np.ndarray
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.cs[:, :2] @ _R_OF_CS
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.cs[:, :2] @ _Z_OF_CS
-
-    @property
-    def b(self) -> np.ndarray:
-        w = -(self.cs[:, 2:] @ _Z_OF_CS)
-        return np.stack([self.r, _E3 + w, _E6 + w], axis=1)
 
 
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
@@ -231,16 +195,20 @@ def current_geometry(
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
-) -> tuple[ElementState, np.ndarray]:
-    """Refresh every element's chord and local forces; assemble F_int.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every element's state at a displacement, and F_int. The state is
+    one (10, n_elements) array, the filled copy of
+    Structure.element_tangent_rows: the rows (EA/L0, EI/L0, EI/L0, N,
+    M1+M2, 1, c, s, c/L, s/L) in element order, rows 6-9 the chord columns
+    of current_geometry.
 
     The local deformations are the stretch u_l = L - L0 and the end
     rotations less the chord's rigid turn beta - beta0, wrapped into
-    (-pi, pi]; [N, M1, M2] = Cl [u_l, theta_1l, theta_2l] (Cl: see
-    Structure.element_moduli), written with the chords into the state's
-    tangent rows. Each element's B^T [N, M1, M2] is [N c, N s, (M1+M2) c/L,
-    (M1+M2) s/L, M1, M2] @ Q_BASIS, scatter-added in element order. A
-    non-finite displacement gives a non-finite F_int, not an exception.
+    (-pi, pi]; [N, M1, M2] = Cl [u_l, theta_1l, theta_2l], with
+    Cl = diag(EA/L0, (EI/L0) [[4, 2], [2, 4]]). Each element's
+    B^T [N, M1, M2] is [N c, N s, (M1+M2) c/L, (M1+M2) s/L, M1, M2]
+    @ Q_BASIS, scatter-added in element order. A non-finite displacement
+    gives a non-finite F_int, not an exception.
     """
     p = displacement[structure.element_dof_rows]
     rows = structure.element_tangent_rows.copy()
@@ -254,22 +222,19 @@ def update_member_data(
     rows[3] = local[0]
     weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
     np.add(weights[4], weights[5], out=rows[4])
-    state = ElementState(length, cs, rows[3], weights[4], weights[5], rows)
     weights[:4] *= cs.T
     q = weights.T @ Q_BASIS
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
                         minlength=structure.n_dof)
-    return state, f_int
+    return rows, f_int
 
 
 @silenced
-def element_tangent_stiffness(
-    structure: Structure,
-    state: ElementState,
-) -> np.ndarray:
-    """(n_elements, 6, 6) consistent tangents, the exact Jacobians of the
-    element forces: k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2)(r z^T + z r^T),
-    with Cl from L0 and the geometric terms from L. With b2 = e3 - z/L and
+def element_tangent_stiffness(rows: np.ndarray) -> np.ndarray:
+    """(n_elements, 6, 6) consistent tangents of the element state ``rows``
+    (see update_member_data), the exact Jacobians of the element forces:
+    k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2)(r z^T + z r^T), with Cl
+    from L0 and the geometric terms from L. With b2 = e3 - z/L and
     b3 = e6 - z/L, B's rows below r, this is
 
     (EA/L0) r r^T + (EI/L0) [4 b2 b2^T + 2 (b2 b3^T + b3 b2^T) + 4 b3 b3^T]
@@ -280,22 +245,20 @@ def element_tangent_stiffness(
     of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
     M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
     """
-    # half the cost of state.rows[_FEATURE_ROWS]
-    factors = state.rows.take(_FEATURE_ROWS, axis=0)
+    # half the cost of rows[_FEATURE_ROWS]
+    factors = rows.take(_FEATURE_ROWS, axis=0)
     features = factors[0] * factors[1]
     features *= factors[2]
-    return (features.T @ K_BASIS).reshape(len(state.length), 6, 6)
+    return (features.T @ K_BASIS).reshape(rows.shape[1], 6, 6)
 
 
 _element_tangents = element_tangent_stiffness.__wrapped__
 
 
 @silenced
-def assemble_tangent(
-    structure: Structure,
-    state: ElementState,
-) -> np.ndarray:
-    """Consistent tangent of the free DOFs in LAPACK's lower band storage,
+def assemble_tangent(structure: Structure, rows: np.ndarray) -> np.ndarray:
+    """Consistent tangent of the free DOFs at the element state ``rows``
+    (see update_member_data), in LAPACK's lower band storage,
     (bandwidth + 1, n_free) in band order (see Structure.free_band).
 
     Every element's tangent from ``element_tangent_stiffness`` is
@@ -307,7 +270,7 @@ def assemble_tangent(
     band = structure.free_band
     n_free = len(band.order)
     size = (band.bandwidth + 1) * n_free
-    k_el = _element_tangents(structure, state)
+    k_el = _element_tangents(rows)
     slots = np.bincount(band.slots, weights=k_el.ravel(), minlength=size + 1)
     return slots[:size].reshape(n_free, -1).T
 

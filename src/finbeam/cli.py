@@ -293,21 +293,24 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
                 by_value["simple"] / by_value["rigid"])
 
     if probed:
-        forces = [v["max_allowable_force"] for v in variants]
+        # a variant that holds at f_hi is stronger than any probed force
+        # (variants that all hold tie at the top), one that collapses below
+        # f_lo weaker; any other probe error leaves no verdict
+        ranks = [_strength(v) for v in variants]
         if spec.axis == "connection":
-            by_value = {v["value"]: f for v, f in zip(variants, forces)}
-            if by_value.get("simple") is not None and \
-                    by_value.get("rigid") is not None:
-                trends["rigid_max_force_exceeds_simple"] = (
-                    by_value["rigid"] > by_value["simple"])
+            by_value = {v["value"]: r for v, r in zip(variants, ranks)}
+            pair = by_value.get("simple"), by_value.get("rigid")
+            if None not in pair:
+                trends["rigid_max_force_exceeds_simple"] = _ascending(*pair)
         else:
-            # a variant that holds at f_hi is stronger than any probed force
-            # (variants that all hold tie at the top), one that collapses
-            # below f_lo weaker; any other probe error leaves no verdict
-            ranks = [_strength(v) for v in variants]
             trends["max_force_ascending"] = None not in ranks and all(
-                a < b or a == b == math.inf for a, b in zip(ranks, ranks[1:]))
+                map(_ascending, ranks, ranks[1:]))
     return trends
+
+
+def _ascending(a: float, b: float) -> bool:
+    """Whether strength b ranks above strength a, or both hold at f_hi."""
+    return a < b or a == b == math.inf
 
 
 def _strength(variant: dict) -> Optional[float]:

@@ -202,24 +202,18 @@ class Structure:
              [e.l0 * math.sin(e.beta0) for e in self.elements]]).T
 
     @cached_property
-    def element_moduli(self) -> np.ndarray:
-        """(2, n_elements) rows EA/L0 and EI/L0 (0 for pin-ended elements)
-        of the local stiffness Cl = diag(EA/L0, (EI/L0) [[4, 2], [2, 4]]),
-        which maps [u_l, theta_1l, theta_2l] to [N, M1, M2]; read-only."""
-        return _read_only(
-            [[e.props.e_modulus * e.props.area / e.l0 for e in self.elements],
-             [0.0 if e.props.kind == KIND_PIN
-              else e.props.e_modulus * e.props.inertia / e.l0
-              for e in self.elements]])
-
-    @cached_property
     def element_tangent_rows(self) -> np.ndarray:
-        """(10, n_elements) template of an ElementState's rows (EA/L0,
-        EI/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L): the moduli of the local
-        deformations [u_l, theta_1l, theta_2l] and the row of ones filled
+        """(10, n_elements) template of an element state, the rows (EA/L0,
+        EI/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L) of update_member_data:
+        EA/L0 and EI/L0 (0 for pin-ended elements), the moduli of the local
+        deformations [u_l, theta_1l, theta_2l], and the row of ones filled
         in, zeros in the rows each state fills in its own copy; read-only."""
         rows = np.zeros((10, len(self.elements)))
-        rows[:3] = self.element_moduli[[0, 1, 1]]
+        rows[0] = [e.props.e_modulus * e.props.area / e.l0
+                   for e in self.elements]
+        rows[1:3] = [0.0 if e.props.kind == KIND_PIN
+                     else e.props.e_modulus * e.props.inertia / e.l0
+                     for e in self.elements]
         rows[5] = 1.0
         return _read_only(rows)
 
@@ -229,8 +223,8 @@ class Structure:
         starts: the internal force of update_member_data and the free-DOF
         band of assemble_tangent, both read-only."""
         from .assembly import assemble_tangent, update_member_data
-        state, f_int = update_member_data(self, np.zeros(self.n_dof))
-        tangent = assemble_tangent(self, state)
+        rows, f_int = update_member_data(self, np.zeros(self.n_dof))
+        tangent = assemble_tangent(self, rows)
         for arr in (f_int, tangent):
             arr.setflags(write=False)
         return f_int, tangent
@@ -339,7 +333,7 @@ def build_structure(
 
     structure = Structure(tuple(node_list), tuple(elements), supports,
                           3 * n_nodes)
-    moduli = structure.element_moduli
+    moduli = structure.element_tangent_rows[:2]
     normal = (moduli >= sys.float_info.min) & (moduli <= sys.float_info.max)
     pinned = np.array([e.props.kind == KIND_PIN for e in elements], bool)
     invalid = ~(normal[0] & (normal[1] | pinned))

@@ -356,7 +356,7 @@ def _trace(
                          good.lam, cause)
                 return records, cause, good
             try:
-                u, lam, states, r_vec, r_norm, iterations = _correct(
+                u, lam, rows, r_vec, r_norm, iterations = _correct(
                     structure, good.u, d_lam * good.x_f,
                     level if landed else good.lam + d_lam, f_ref, tolerance,
                     budget, None if landed else arc)
@@ -370,7 +370,7 @@ def _trace(
             spent += budget
             arc *= 0.5
         spent += iterations
-        k_s = assemble_tangent(structure, states)
+        k_s = assemble_tangent(structure, rows)
 
 
 def _carried(state: _PathState, f_ref: np.ndarray) -> float:
@@ -396,7 +396,7 @@ def _correct(
     load stays fixed and du <- du - K^-1 R; otherwise each iteration solves
     K [x_f, x_r] = [f_ref, -R] with one factorization and takes the load
     change d that keeps ||du + x_r + d x_f|| = arc, the root whose step
-    turns least from du (Crisfield 1981). Returns (u, lam, states, r_vec,
+    turns least from du (Crisfield 1981). Returns (u, lam, rows, r_vec,
     r_norm, iterations) once ||R|| <= tolerance, ||R|| is not finite,
     maxiter iterations are spent or the arc has no real root.
     Raises SingularMatrix and DegenerateElement."""
@@ -406,13 +406,13 @@ def _correct(
     while True:
         u = start.copy()
         u[band.order] += du
-        states, f_int = update_member_data(structure, u)
+        rows, f_int = update_member_data(structure, u)
         r_vec, r_norm = residual(f_int, f_ext, structure.supports)
         if (not r_norm > tolerance or iterations == maxiter
                 or r_norm == math.inf):
-            return u, lam, states, r_vec, r_norm, iterations
+            return u, lam, rows, r_vec, r_norm, iterations
         iterations += 1
-        k_s = assemble_tangent(structure, states)
+        k_s = assemble_tangent(structure, rows)
         if arc is None:
             du -= solve_linear(k_s, apply_supports(r_vec, band))[0]
             continue
@@ -421,7 +421,7 @@ def _correct(
         x_f, x_r = x.T
         d_lam = _arc_root(x_f, du + x_r, arc, du @ x_f >= 0)
         if d_lam is None:
-            return u, lam, states, r_vec, r_norm, iterations
+            return u, lam, rows, r_vec, r_norm, iterations
         du += x_r + d_lam * x_f
         lam += d_lam
         f_ext = lam * f_ref

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from finbeam import ElementProps, FinRayParams, build_structure
+from finbeam import (ElementProps, FinRayParams, build_structure,
+                     update_member_data)
 
 # Material and section of the reference design: E = 2e7 Pa, rectangular
 # 20 mm x 1 mm cross-section.
@@ -35,6 +37,19 @@ def one_element_frame(l0=1.0, beta0=0.0, kind="beam"):
     return build_structure(
         [(0, 0.0, 0.0), (1, l0 * math.cos(beta0), l0 * math.sin(beta0))],
         [(0, 1, props)], {0: (True, True, True)})
+
+
+def element_forces(structure, u):
+    """(n_elements, 3) local forces [N, M1, M2] of every element of a frame
+    at the displacement u, each element run alone in the frame: N is row 3
+    of its state, and M1 and M2 are the F_int entries of its two nodal
+    rotations."""
+    forces = []
+    for element, dofs in zip(structure.elements, structure.element_dofs):
+        alone = dataclasses.replace(structure, elements=(element,))
+        rows, f_int = update_member_data(alone, u)
+        forces.append((rows[3, 0], f_int[dofs[2]], f_int[dofs[5]]))
+    return np.array(forces)
 
 
 @pytest.fixture

@@ -184,14 +184,29 @@ def scalar_reference(structure, u):
     return f_int, k
 
 
-def dense_tangent(structure, state):
+def chord_vectors(rows):
+    """r, z and B of every element from rows 6-9 (c, s, c/L, s/L) of its
+    state: the axial directions r = [-c, -s, 0, c, s, 0] and their
+    perpendiculars z = [s, -c, 0, -s, c, 0], each (n_elements, 6), and the
+    (n_elements, 3, 6) B = [r; e3 - z/L; e6 - z/L], which maps global
+    increments to local ones."""
+    c, s, c_l, s_l = rows[6:]
+    zero = np.zeros_like(c)
+    r = np.stack([-c, -s, zero, c, s, zero], axis=1)
+    z = np.stack([s, -c, zero, -s, c, zero], axis=1)
+    z_l = np.stack([s_l, -c_l, zero, -s_l, c_l, zero], axis=1)
+    e3, e6 = np.eye(6)[[2, 5]]
+    return r, z, np.stack([r, e3 - z_l, e6 - z_l], axis=1)
+
+
+def dense_tangent(structure, rows):
     """The dense n_dof x n_dof tangent: every element's 6x6 tangent from
-    ``element_tangent_stiffness`` added into its rows and columns, one
-    element after another, supports ignored. Each entry receives the same
+    ``element_tangent_stiffness`` at the element state ``rows`` added into
+    its rows and columns, one element after another, supports ignored. Each entry receives the same
     contributions in the same order as its band slot does."""
     n = structure.n_dof
     k = np.zeros((n, n))
-    k_el = element_tangent_stiffness(structure, state)
+    k_el = element_tangent_stiffness(rows)
     for dofs, k_e in zip(structure.element_dofs, k_el):
         k[np.ix_(dofs, dofs)] += k_e
     return k

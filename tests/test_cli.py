@@ -300,7 +300,12 @@ class TestSweep:
         ("n_crossbeams", [2, 3], {"f_lo": 1.0}, True),
         # top angle 30's probe ends at the refinement bound
         ("top_angle", [20.0, 30.0], {"resolution": 1e-9}, False),
-    ], ids=["collapse-last", "collapse-first", "refinement-bound"])
+        # the simple connection collapses below 1.0 N, the rigid one holds
+        # to 1.28 N, in either order
+        ("connection", ["simple", "rigid"], {"f_lo": 1.0}, True),
+        ("connection", ["rigid", "simple"], {"f_lo": 1.0}, True),
+    ], ids=["collapse-last", "collapse-first", "refinement-bound",
+            "connection", "connection-reversed"])
     def test_probe_errors_rank_in_the_force_trend(self, tmp_path, axis,
                                                   values, probe, ascending):
         data = {"axis": axis, "values": values, "load_magnitudes": [0.2],
@@ -315,7 +320,9 @@ class TestSweep:
             ["structure already collapses at f_lo = 1.0"],
             ["refinement bound: the first instability is not resolved to "
              "resolution = 1e-09 within 64 states past it"])
-        assert summary["trends"]["max_force_ascending"] is ascending
+        trend = ("rigid_max_force_exceeds_simple" if axis == "connection"
+                 else "max_force_ascending")
+        assert summary["trends"][trend] is ascending
 
     def test_no_row_past_the_probed_force_reads_converged(self, tmp_path):
         # force control completed top angle 30 at 3.5 N in 10 steps on

@@ -10,7 +10,6 @@ import pytest
 
 from finbeam import (
     DegenerateElement,
-    ElementState,
     SolverConfig,
     generate,
     load_at_contact_node,
@@ -22,10 +21,12 @@ from finbeam.assembly import (
     current_geometry,
     element_tangent_stiffness,
 )
-from conftest import AREA, E_MOD, INERTIA, STUDY_FINGERS, one_element_frame
+from conftest import (AREA, E_MOD, INERTIA, STUDY_FINGERS, element_forces,
+                      one_element_frame)
 
 from oracles import (
     central_difference_jacobian,
+    chord_vectors,
     corotational_element,
     dense_tangent,
     linear_frame_stiffness,
@@ -41,18 +42,19 @@ def geometry(structure, p):
 
 def local_deformations(structure, p):
     """[u_l, theta_1l, theta_2l] of a beam element displaced by p, read
-    back from its local forces [N, M1, M2] through Cl^-1."""
-    state, _ = update_member_data(structure, np.asarray(p, float))
-    forces = [state.n_axial[0], state.m1[0], state.m2[0]]
-    ea_l0, ei_l0 = structure.element_moduli[:, 0]
+    back from its local forces [N, M1, M2] through Cl^-1: N is row 3 of
+    the state, M1 and M2 are F_int[2] and F_int[5]."""
+    rows, f_int = update_member_data(structure, np.asarray(p, float))
+    forces = [rows[3, 0], f_int[2], f_int[5]]
+    ea_l0, ei_l0 = structure.element_tangent_rows[:2, 0]
     cl = np.array([[ea_l0, 0, 0], [0, 4 * ei_l0, 2 * ei_l0],
                    [0, 2 * ei_l0, 4 * ei_l0]])
     return np.linalg.solve(cl, forces)
 
 
 def tangent_of(structure, p):
-    state, _ = update_member_data(structure, p)
-    return element_tangent_stiffness(structure, state)[0]
+    rows, _ = update_member_data(structure, p)
+    return element_tangent_stiffness(rows)[0]
 
 
 def test_wrap_angle():
@@ -114,55 +116,58 @@ class TestLocalDisplacements:
 class TestLocalForces:
     def test_axial_force_hand_value(self):
         # E*A*u_l/L0 = 2e7 * 2e-5 * 1e-3 / 0.1 = 4.0 N
-        state, _ = update_member_data(one_element_frame(0.1),
-                                      np.array([0, 0, 0, 1e-3, 0, 0]))
-        assert state.n_axial[0] == pytest.approx(4.0, rel=1e-12)
+        rows, _ = update_member_data(one_element_frame(0.1),
+                                     np.array([0, 0, 0, 1e-3, 0, 0]))
+        assert rows[3, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_symmetric_rotation_moments(self):
         phi = 0.05
-        state, _ = update_member_data(one_element_frame(0.1),
-                                      np.array([0, 0, phi, 0, 0, phi]))
+        _, q = update_member_data(one_element_frame(0.1),
+                                  np.array([0, 0, phi, 0, 0, phi]))
         expected = 6 * E_MOD * INERTIA * phi / 0.1
-        assert state.m1[0] == pytest.approx(expected, rel=1e-12)
-        assert state.m2[0] == pytest.approx(expected, rel=1e-12)
+        # F_int[2] and F_int[5] are M1 and M2
+        assert q[2] == pytest.approx(expected, rel=1e-12)
+        assert q[5] == pytest.approx(expected, rel=1e-12)
 
     def test_pin_ended_carries_no_moment(self):
         # local deformations (1e-3, 0.2, -0.1) of an unrotated element
-        state, _ = update_member_data(one_element_frame(0.1, kind="pin-ended"),
-                                      np.array([0, 0, 0.2, 1e-3, 0, -0.1]))
-        assert state.m1[0] == 0.0
-        assert state.m2[0] == 0.0
-        assert state.n_axial[0] == pytest.approx(4.0, rel=1e-12)
+        rows, q = update_member_data(one_element_frame(0.1, kind="pin-ended"),
+                                     np.array([0, 0, 0.2, 1e-3, 0, -0.1]))
+        assert q[2] == 0.0
+        assert q[5] == 0.0
+        assert rows[3, 0] == pytest.approx(4.0, rel=1e-12)
 
 
 class TestTransformationMatrix:
     def test_horizontal_rows(self):
-        state, _ = update_member_data(one_element_frame(), np.zeros(6))
+        r, z, b = chord_vectors(update_member_data(one_element_frame(),
+                                                   np.zeros(6))[0])
         expected = np.array([
             [-1, 0, 0, 1, 0, 0],
             [0, 1, 1, 0, -1, 0],
             [0, 1, 0, 0, -1, 1],
         ], dtype=float)
-        assert np.allclose(state.b[0], expected, atol=1e-15)
+        assert np.allclose(b[0], expected, atol=1e-15)
         # r is B's first row, z its perpendicular
-        assert np.array_equal(state.r[0], state.b[0, 0])
-        assert np.allclose(state.z[0], [0, -1, 0, 0, 1, 0], atol=1e-15)
+        assert np.array_equal(r[0], b[0, 0])
+        assert np.allclose(z[0], [0, -1, 0, 0, 1, 0], atol=1e-15)
 
     def test_translation_invariance(self, rng):
         beta = rng.uniform(-math.pi, math.pi)
-        state, _ = update_member_data(one_element_frame(1.7, beta),
-                                      np.zeros(6))
+        _, _, b = chord_vectors(update_member_data(
+            one_element_frame(1.7, beta), np.zeros(6))[0])
         dp = np.array([0.3, -0.8, 0.0, 0.3, -0.8, 0.0])
-        assert np.allclose(state.b[0] @ dp, 0.0, atol=1e-15)
+        assert np.allclose(b[0] @ dp, 0.0, atol=1e-15)
 
     def test_infinitesimal_rotation_about_midpoint(self):
-        state, _ = update_member_data(one_element_frame(), np.zeros(6))
+        _, _, b = chord_vectors(update_member_data(one_element_frame(),
+                                                   np.zeros(6))[0])
         eps = 1e-7
         # rotate both nodes of the unit element about (0.5, 0) by eps
         dp = np.array([0.5 * (1 - math.cos(eps)), -0.5 * math.sin(eps), eps,
                        -0.5 * (1 - math.cos(eps)), 0.5 * math.sin(eps), eps])
         # local increments vanish to first order in eps
-        assert np.all(np.abs(state.b[0] @ dp) < 10 * eps**2 + 1e-15)
+        assert np.all(np.abs(b[0] @ dp) < 10 * eps**2 + 1e-15)
 
 
 class TestGlobalInternalForce:
@@ -182,10 +187,10 @@ class TestGlobalInternalForce:
         for _ in range(25):
             beta = rng.uniform(-math.pi, math.pi)
             length = rng.uniform(0.2, 3.0)
-            state, _ = update_member_data(one_element_frame(length, beta),
-                                          np.zeros(6))
-            q = state.b[0].T @ rng.uniform(-10, 10, size=3)
-            c, sin = state.r[0, 3:5]
+            r, _, b = chord_vectors(update_member_data(
+                one_element_frame(length, beta), np.zeros(6))[0])
+            q = b[0].T @ rng.uniform(-10, 10, size=3)
+            c, sin = r[0, 3:5]
             scale = np.abs(q).max() + 1e-30
             assert abs(q[0] + q[3]) <= 1e-10 * scale
             assert abs(q[1] + q[4]) <= 1e-10 * scale
@@ -221,29 +226,55 @@ def test_kernels_match_scalar_oracle(rng, kind):
     for _ in range(200):
         s, p = random_state(rng, kind)
         q_ref, k_ref = corotational_element(s.elements[0], p)
-        state, q = update_member_data(s, p)
-        k = element_tangent_stiffness(s, state)[0]
+        rows, q = update_member_data(s, p)
+        k = element_tangent_stiffness(rows)[0]
         assert np.abs(q - q_ref).max() <= 1e-13 * np.abs(q_ref).max()
         assert np.abs(k - k_ref).max() <= 1e-13 * np.abs(k_ref).max()
 
 
-def assembled_b_form(structure, state):
+@pytest.mark.parametrize("kind", ["beam", "pin-ended"])
+def test_state_rows_hold_chord_forces_and_template(rng, kind):
+    # the rows (EA/L0, EI/L0, EI/L0, N, M1+M2, 1, c, s, c/L, s/L)
+    for _ in range(50):
+        s, p = random_state(rng, kind)
+        template = s.element_tangent_rows
+        before = template.copy()
+        rows, q = update_member_data(s, p)
+        _, cs = current_geometry(s, p[None, :])
+        assert np.array_equal(rows[6:], cs.T)
+        assert rows[4, 0] == q[2] + q[5]
+        assert np.array_equal(rows[[0, 1, 2, 5]], template[[0, 1, 2, 5]])
+        assert np.array_equal(template, before)
+        assert not template.flags.writeable
+        # an unrotated stretch: N = EA/L0 (L - L0)
+        l0, beta0 = s.element_l0[0], s.element_beta0[0]
+        stretch = rng.uniform(-0.05, 0.05) * l0
+        rows, _ = update_member_data(s, np.array(
+            [0.0, 0.0, 0.0, stretch * math.cos(beta0),
+             stretch * math.sin(beta0), 0.0]))
+        assert rows[3, 0] == pytest.approx(E_MOD * AREA / l0 * stretch,
+                                           rel=1e-9)
+
+
+def assembled_b_form(structure, u):
     """Element forces q = B^T [N, M1, M2], and F_int and K assembled from q
-    and k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T), with
-    r, z and B read from the state."""
-    r, z, b, length = state.r, state.z, state.b, state.length
-    ea_l0, ei_l0 = structure.element_moduli
+    and k = B^T Cl B + (N/L) z z^T + ((M1+M2)/L^2) (r z^T + z r^T) at the
+    displacement u, with r, z and B from the chord rows of the state,
+    L from current_geometry and [N, M1, M2] from each element alone."""
+    rows, _ = update_member_data(structure, u)
+    r, z, b = chord_vectors(rows)
+    length, _ = current_geometry(structure, u[structure.element_dofs])
+    ea_l0, ei_l0 = rows[:2]
     cl = np.zeros((len(length), 3, 3))
     cl[:, 0, 0] = ea_l0
     cl[:, 1:, 1:] = ei_l0[:, None, None] * np.array([[4.0, 2.0], [2.0, 4.0]])
-    forces = np.stack([state.n_axial, state.m1, state.m2], axis=1)
+    forces = element_forces(structure, u)
+    n_axial, m1, m2 = forces.T
     q = np.einsum("eij,ei->ej", b, forces)
     k = b.transpose(0, 2, 1) @ cl @ b
-    k += (state.n_axial / length)[:, None, None] * np.einsum(
-        "ei,ej->eij", z, z)
+    k += (n_axial / length)[:, None, None] * np.einsum("ei,ej->eij", z, z)
     rz = np.einsum("ei,ej->eij", r, z)
-    k += ((state.m1 + state.m2) / length**2)[:, None, None] * (
-        rz + rz.transpose(0, 2, 1))
+    k += ((m1 + m2) / length**2)[:, None, None] * (rz + rz.transpose(0, 2, 1))
     f_int = np.zeros(structure.n_dof)
     k_global = np.zeros((structure.n_dof, structure.n_dof))
     for dofs, q_e, k_e in zip(structure.element_dofs, q, k):
@@ -259,9 +290,9 @@ def test_kernels_match_assembled_b_form_on_study_fingers(name):
     result = solve(s, load_at_contact_node(model, 2, 0.5),
                    SolverConfig(n_inc=5))
     assert result.completed
-    state, f_int = update_member_data(s, result.final_displacement)
-    k = dense_tangent(s, state)
-    q_b, f_b, k_b = assembled_b_form(s, state)
+    rows, f_int = update_member_data(s, result.final_displacement)
+    k = dense_tangent(s, rows)
+    q_b, f_b, k_b = assembled_b_form(s, result.final_displacement)
     # at equilibrium F_int is the small load; the element forces q that
     # sum to it set the roundoff scale
     assert np.abs(f_int - f_b).max() <= 1e-13 * np.abs(q_b).max()
@@ -277,17 +308,15 @@ def test_overflow_scale_forces_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # N = 1e300: the old (N/L) and 1/L^2 forms overflowed here
-        state, q = update_member_data(
+        rows, q = update_member_data(
             s, np.array([0.0, 0.0, 0.1, 2.5e296, 0.0, -0.1]))
-        k = element_tangent_stiffness(s, state)
-        assert state.n_axial[0] == pytest.approx(1e300)
+        k = element_tangent_stiffness(rows)
+        assert rows[3, 0] == pytest.approx(1e300)
         assert np.isfinite(q).all() and np.isfinite(k).all()
         # an overflowed feature N c (c/L) gives a non-finite tangent
         rows = s.element_tangent_rows.copy()
         rows[3], rows[6:] = 1e300, [[1.0], [0.0], [1e9], [0.0]]
-        state = ElementState(np.array([1e-9]), rows[6:].T, rows[3],
-                             np.zeros(1), np.zeros(1), rows)
-        assert not np.isfinite(element_tangent_stiffness(s, state)).all()
+        assert not np.isfinite(element_tangent_stiffness(rows)).all()
 
 
 def test_rest_tangent_matches_linear_frame_matrix():
