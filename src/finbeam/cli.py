@@ -30,8 +30,7 @@ from .finray import (
 from .model import known_keys, load_case, structure_from_dict, typed
 # probe_max_force is unused here, but bench/tracer.py wraps
 # finbeam.cli.probe_max_force
-from .solver import (COLLAPSES, STILL_HOLDS, SolverConfig, probe_max_force,
-                     solve, trace_loads)
+from .solver import SolverConfig, probe_max_force, solve, trace_loads
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -243,13 +242,14 @@ def _list(name: str, value) -> list:
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
     """Trace one sweep variant's path once (trace_loads): its CSV rows at
     every load magnitude, as the writer takes them, and, optionally, its
-    probe."""
+    probe: trace_loads's force, and the summary's max_allowable_force, that
+    force when it is finite, else None."""
     model = generate(replace(spec.base_params, **{spec.axis: value}))
     label = f"{spec.axis}={value}"
     pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
                                    direction=spec.load_direction).f_total
     bracket = tuple(spec.probe[k] for k in DEFAULT_PROBE) if do_probe else None
-    records, max_force, probe_error = trace_loads(
+    records, force, probe_error = trace_loads(
         model.structure, pattern, spec.load_magnitudes, spec.config, bracket)
     if probe_error:
         log.warning("probe for %s: %s", label, probe_error)
@@ -264,9 +264,10 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
                 repr(float(record.iterations if record else math.nan))])
             if rank == spec.load_node_rank and record:
                 loaded_node_disp[magnitude] = math.hypot(u, w)
-    return {"label": label, "value": value, "rows": rows,
-            "max_allowable_force": max_force, "probe_error": probe_error,
-            "loaded_node_disp": loaded_node_disp}
+    finite = force is not None and math.isfinite(force)
+    return {"label": label, "value": value, "rows": rows, "force": force,
+            "max_allowable_force": force if finite else None,
+            "probe_error": probe_error, "loaded_node_disp": loaded_node_disp}
 
 
 def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
@@ -293,10 +294,9 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
                 by_value["simple"] / by_value["rigid"])
 
     if probed:
-        # a variant that holds at f_hi is stronger than any probed force
-        # (variants that all hold tie at the top), one that collapses below
-        # f_lo weaker; any other probe error leaves no verdict
-        ranks = [_strength(v) for v in variants]
+        # trace_loads's force: inf holds at f_hi (variants that all hold tie
+        # at the top), -inf collapses below f_lo, None leaves no verdict
+        ranks = [v["force"] for v in variants]
         if spec.axis == "connection":
             by_value = {v["value"]: r for v, r in zip(variants, ranks)}
             pair = by_value.get("simple"), by_value.get("rigid")
@@ -311,19 +311,6 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
 def _ascending(a: float, b: float) -> bool:
     """Whether strength b ranks above strength a, or both hold at f_hi."""
     return a < b or a == b == math.inf
-
-
-def _strength(variant: dict) -> Optional[float]:
-    """A probed variant's force, +inf when it still holds at f_hi, -inf
-    when it already collapses at f_lo, or None after another probe error."""
-    error = variant["probe_error"]
-    if error is None:
-        return variant["max_allowable_force"]
-    if error.startswith(STILL_HOLDS):
-        return math.inf
-    if error.startswith(COLLAPSES):
-        return -math.inf
-    return None
 
 
 def _cmd_sweep(args) -> int:

@@ -25,6 +25,13 @@ COMPONENTS = ("u", "w", "theta")
 KIND_BEAM = "beam"
 KIND_PIN = "pin-ended"
 
+# the keys a structure document and each of its entries may hold; finbeam
+# generate adds the finger's contact_nodes, which a solve does not read
+STRUCTURE_KEYS = ("nodes", "elements", "supports", "contact_nodes")
+NODE_KEYS = ("id", "x", "y")
+ELEMENT_KEYS = ("i", "j", "E", "A", "I", "kind")
+SUPPORT_KEYS = ("node", *COMPONENTS)
+
 
 class ModelError(ValueError):
     """Base class for structural model validation failures."""
@@ -478,18 +485,32 @@ def structure_to_dict(structure: Structure) -> dict:
 def structure_from_dict(data: Mapping) -> Structure:
     """Inverse of structure_to_dict; runs full build validation. Ids,
     element ends and support nodes must be integers, coordinates and
-    properties finite numbers, fixities booleans and ``kind`` a string."""
+    properties finite numbers, fixities booleans and ``kind`` a string.
+    The document and its node, element and support entries may hold only
+    the keys in STRUCTURE_KEYS, NODE_KEYS, ELEMENT_KEYS and SUPPORT_KEYS,
+    and a node may have one support entry at most."""
+    def entries(section, keys):
+        return [known_keys(f"{section}[{index}]", entry, keys)
+                for index, entry in enumerate(data[section])]
+
+    known_keys("structure", data, STRUCTURE_KEYS)
     try:
         nodes = [Node(typed("id", n["id"], int), typed("x", n["x"], float),
-                      typed("y", n["y"], float)) for n in data["nodes"]]
+                      typed("y", n["y"], float))
+                 for n in entries("nodes", NODE_KEYS)]
         specs = [(typed("i", e["i"], int), typed("j", e["j"], int),
                   ElementProps(*(typed(key, e[key], float) for key in "EAI"),
                                typed("kind", e.get("kind", KIND_BEAM), str)))
-                 for e in data["elements"]]
-        supports = {typed("node", s["node"], int):
-                    tuple(typed(key, s[key], bool) for key in COMPONENTS)
-                    for s in data["supports"]}
-    except (KeyError, TypeError, AttributeError) as exc:
+                 for e in entries("elements", ELEMENT_KEYS)]
+        supports = {}
+        for s in entries("supports", SUPPORT_KEYS):
+            node_id = typed("node", s["node"], int)
+            if node_id in supports:
+                raise ModelError(f"supports: node {node_id} is listed more "
+                                 "than once")
+            supports[node_id] = tuple(typed(key, s[key], bool)
+                                      for key in COMPONENTS)
+    except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed structure document: {exc}") from exc
     return build_structure(nodes, specs, supports)
 

@@ -53,10 +53,6 @@ ARC_MAX_CUTS = 10
 # that resolves its instability accepts on the study fingers. A refinement
 # past it crawls toward an instability it no longer reaches.
 REFINE_MAX_STATES = 64
-# How trace_loads's probe errors begin when the path holds at f_hi or
-# collapses below f_lo; a sweep ranks those variants by them.
-STILL_HOLDS = "structure still holds at f_hi"
-COLLAPSES = "structure already collapses at f_lo"
 
 
 class BracketInvalid(ValueError):
@@ -205,16 +201,18 @@ def trace_loads(
 
     Returns the record at each of ``loads``, None past the path's end, its
     iterations those spent since the previous level; and, with a bracket,
-    the probe's force or error, else None and None. The force is the load
+    the probe's force and error, else None and None. The force is the load
     carried by the last positive-definite state before the first
     instability, found to within ``resolution``, or before the path ends
-    otherwise. The error is "still holds at f_hi" when a positive-definite
-    state at f_hi is reached and "already collapses at f_lo" when the force
-    falls below f_lo, and names the resolution and REFINE_MAX_STATES when
-    the refinement ends at that bound. Raises BracketInvalid when
-    f_lo >= f_hi, and ValueError when f_lo, f_hi or resolution is not
-    finite, resolution is not positive, or there is no load or one is not
-    positive and finite. Deterministic for fixed inputs.
+    otherwise, with the error None. It is inf, with the error "structure
+    still holds at f_hi = ...", when a positive-definite state at f_hi is
+    reached; -inf, with "structure already collapses at f_lo = ...", when
+    it falls below f_lo; and None, with an error naming the resolution and
+    REFINE_MAX_STATES, when the refinement ends at that bound. Raises
+    BracketInvalid when f_lo >= f_hi, and ValueError when f_lo, f_hi or
+    resolution is not finite, resolution is not positive, or there is no
+    load or one is not positive and finite. Deterministic for fixed
+    inputs.
     """
     f_lo, f_hi, resolution = bracket or (0.0, math.inf, math.inf)
     if bracket and not (all(map(math.isfinite, bracket)) and resolution > 0):
@@ -238,7 +236,7 @@ def trace_loads(
     reached = dict(zip(targets, records))
     force = error = None
     if f_hi in reached:
-        error = f"{STILL_HOLDS} = {f_hi}"
+        force, error = math.inf, f"structure still holds at f_hi = {f_hi}"
     elif cause == "refinement bound":
         error = (f"refinement bound: the first instability is not resolved "
                  f"to resolution = {resolution} within {REFINE_MAX_STATES} "
@@ -246,8 +244,8 @@ def trace_loads(
     elif bracket:
         force = 0.0 if good is None else top * _carried(good, f_ref)
         if force < f_lo:
-            force = None
-            error = f"{COLLAPSES} = {f_lo}"
+            force = -math.inf
+            error = f"structure already collapses at f_lo = {f_lo}"
     return [reached.get(f) for f in loads], force, error
 
 

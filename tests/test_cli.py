@@ -10,6 +10,7 @@ from finbeam import (FinRayParams, SolverConfig, generate,
                      load_at_contact_node, make_load_case, probe_max_force)
 from finbeam import cli
 from finbeam.cli import main
+from conftest import AREA, E_MOD, INERTIA
 from oracles import plain_path
 from test_assembly import fresh_python
 
@@ -550,6 +551,45 @@ def test_mistyped_structure_exits_2(tmp_path, structure_file, capsys,
                       {"forces": [{"node": 4, "fx": 0.1}]})
     assert main(["solve", bad, load, str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
+CLAMPED = {"node": 0, "u": True, "w": True, "theta": True}
+
+
+def _clamped_beams():
+    """A beam clamped at node 0 and a second element from node 1 to node 2,
+    all along x; its load is 1e-7 N across the beams at node 2."""
+    beam = {"E": E_MOD, "A": AREA, "I": INERTIA}
+    return ({"nodes": [{"id": k, "x": 0.1 * k, "y": 0.0} for k in range(3)],
+             "elements": [{"i": 0, "j": 1, **beam}, {"i": 1, "j": 2, **beam}],
+             "supports": [CLAMPED]},
+            {"forces": [{"node": 2, "fy": 1e-7}]})
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda doc: None, 0, ""),
+    # a pin-ended second element leaves node 2's rotation free
+    (lambda doc: doc["elements"][1].update(kind="pin-ended"), 3,
+     "diverged at increment 1 (SingularMatrix)"),
+    # each of these was ignored, and the misspelt kind solved as a beam
+    (lambda doc: doc["elements"][1].update(knd="pin-ended"), 2,
+     "error: elements[1]: unknown key(s) ['knd']"),
+    (lambda doc: doc["nodes"][2].update(z=0.0), 2,
+     "error: nodes[2]: unknown key(s) ['z']"),
+    (lambda doc: doc.update(material="steel"), 2,
+     "error: structure: unknown key(s) ['material']"),
+    # the last entry won, and the pinned beam was a mechanism
+    (lambda doc: doc["supports"].append({**CLAMPED, "theta": False}), 2,
+     "error: supports: node 0 is listed more than once"),
+], ids=["as-built", "pin-ended", "misspelt-kind", "node-z", "top-level-key",
+        "repeated-support"])
+def test_misread_structure_exits_2(tmp_path, capsys, edit, code, message):
+    doc, load = _clamped_beams()
+    edit(doc)
+    structure = write_json(tmp_path / "structure.json", doc)
+    load = write_json(tmp_path / "load.json", load)
+    assert main(["solve", structure, load, str(tmp_path / "out.csv")]) == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_main_leaves_the_collector_as_it_was(tmp_path):

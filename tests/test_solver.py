@@ -580,8 +580,23 @@ def test_trace_loads_records_each_load_once(make_cantilever):
                                         SolverConfig(), (0.01, 0.5, 0.01))
     assert records[0] is records[1]
     assert [r.n for r in records] == [1, 1, 2]
-    assert force is None
+    assert force == math.inf
     assert error == "structure still holds at f_hi = 0.5"
+
+
+def test_a_collapse_below_f_lo_is_minus_infinity():
+    # criterion 6 loading; the two-crossbeam finger collapses at 0.71 N
+    model = generate(FinRayParams(n_crossbeams=2))
+    pattern = load_at_contact_node(model, 2, 1.0,
+                                   direction=STUDY_DIRECTION).f_total
+    bracket = (1.0, 4.0, 0.05)
+    _, force, error = trace_loads(model.structure, pattern, (),
+                                  SolverConfig(), bracket)
+    assert force == -math.inf
+    assert error == "structure already collapses at f_lo = 1.0"
+    with pytest.raises(BracketInvalid) as exc:
+        probe_max_force(model.structure, pattern, SolverConfig(), *bracket)
+    assert str(exc.value) == error
 
 
 class Livelock(Exception):
