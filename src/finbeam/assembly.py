@@ -17,9 +17,10 @@ cosines and L its length, so F_int is six weights per element times
 Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
 K_BASIS, both fixed at import. K is assembled straight into the lower
 band of its free DOFs, in reverse Cuthill-McKee order, and factorised:
-by Cholesky when it is positive definite, otherwise as L D L^T, whose
-exact inertia is the stability audit. Each public kernel runs
-``silenced``; a solver path, silenced once, calls their ``__wrapped__``.
+by Cholesky when it is positive definite, otherwise by LU with partial
+pivoting; whether Cholesky succeeds is the stability audit. Each public
+kernel runs ``silenced``; a solver path, silenced once, calls their
+``__wrapped__``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _lapack(*names: str) -> list:
     return [getattr(module, name) for name in names]
 
 
-dpbsv, dsytrf, dsytrs = _lapack("dpbsv", "dsytrf", "dsytrs")
+dpbsv, dgbsv = _lapack("dpbsv", "dgbsv")
 
 # Pivots below this fraction of the largest pivot flag a mechanism or a
 # buckled (singular) configuration rather than roundoff.
@@ -281,7 +282,7 @@ def apply_supports(vector: np.ndarray, band: FreeBand) -> np.ndarray:
     return vector[band.order]
 
 
-def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Direct solve of the symmetric system K x = rhs, K held as a band.
 
     ``band`` is K in LAPACK's lower band storage, (bandwidth + 1, n) with
@@ -289,51 +290,40 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     ``rhs`` is one right-hand side (n,) or k of them as columns (n, k),
     all solved from one factorization; each column of x equals, bit for
     bit, the solve of that column alone. Returns x, shaped like rhs, and
-    the number of negative eigenvalues of K.
+    whether K is positive definite.
 
     K is first factorised and solved by banded Cholesky in one LAPACK call
-    (dpbsv). When that succeeds and every pivot L_jj^2 is at least
-    SINGULAR_PIVOT_RATIO of the largest, K is positive definite, with no
-    negative eigenvalue. Any other K (indefinite, near singular or not
-    finite) is expanded to its dense lower triangle and factorised as
-    L D L^T with Bunch-Kaufman pivoting (LAPACK dsytrf). The count is then
-    that of the block-diagonal D, by Sylvester's law of inertia; each 2x2
-    block of D has a negative determinant and so one eigenvalue of each
-    sign. Raises SingularMatrix when an eigenvalue of D falls below
-    SINGULAR_PIVOT_RATIO of the largest, which signals a mechanism or
-    structural instability.
+    (dpbsv). When that factor completes, K is positive definite, unless a
+    pivot L_jj^2 falls below SINGULAR_PIVOT_RATIO of the largest. When it
+    stops at a pivot that is not positive (K indefinite or singular), K is
+    solved by banded LU with partial pivoting (dgbsv, Golub & Van Loan
+    2013, section 4.3) and is not positive definite. That is a pivot test,
+    not an eigenvalue test: it says that K has a non-positive eigenvalue,
+    not how many. Raises SingularMatrix, which signals a mechanism or
+    structural instability, when a pivot of either factor, L_jj^2 or
+    |U_jj|, is zero, below SINGULAR_PIVOT_RATIO of the largest or not a
+    number.
     """
     factor, x, info = dpbsv(band, rhs, lower=1)
-    diagonal = factor[0]
-    # a NaN fails the comparison and so takes the L D L^T path
-    if info == 0 and (diagonal.min()
-                      >= _SINGULAR_CHOLESKY_RATIO * diagonal.max()):
-        return x, 0
-
-    offset, column = np.indices(band.shape)
-    row = offset + column
-    inside = row < band.shape[1]
-    lower = np.zeros((band.shape[1], band.shape[1]))
-    lower[row[inside], column[inside]] = band[inside]
-    ldu, ipiv, info = dsytrf(lower, lower=1)
-    eigenvalues = np.diagonal(ldu)
-    # ipiv[k] == ipiv[k + 1] < 0 marks a 2x2 block of D in rows k and k + 1
-    two_by_two = ipiv < 0
-    if two_by_two.any():
-        eigenvalues = eigenvalues.copy()
-        blocks = np.flatnonzero(two_by_two).reshape(-1, 2)
-        eigenvalues[blocks] = np.linalg.eigvalsh(
-            ldu[blocks[:, :, None], blocks[:, None, :]])
-    pivots = np.abs(eigenvalues)
-    largest = pivots.max() if pivots.size else 0.0
-    if info > 0 or largest == 0.0 or (
-            pivots.min() < SINGULAR_PIVOT_RATIO * largest):
-        raise SingularMatrix(
-            f"pivot ratio {pivots.min() / largest if largest else 0.0:.3e} "
-            "below threshold; structure is unstable or a mechanism")
-    # one dsytrs call per column: a multi-column call blocks its updates
-    # differently and so rounds differently from a single column
-    columns = [dsytrs(ldu, ipiv, column, lower=1)[0]
-               for column in rhs.reshape(len(rhs), -1).T]
-    x = np.stack(columns, axis=-1).reshape(rhs.shape)
-    return x, np.count_nonzero(eigenvalues < 0)
+    if info == 0:
+        diagonal = factor[0]
+        # a NaN fails the comparison
+        if diagonal.min() >= _SINGULAR_CHOLESKY_RATIO * diagonal.max():
+            return x, True
+        ratio = (diagonal.min() / diagonal.max()) ** 2
+    else:
+        # LAPACK's general band storage: K[i, j] in row 2 bw + i - j, the
+        # bw rows above it left for the fill-in of the row exchanges
+        bandwidth, n = band.shape[0] - 1, band.shape[1]
+        general = np.zeros((3 * bandwidth + 1, n))
+        for r in range(bandwidth + 1):
+            general[2 * bandwidth + r, :n - r] = band[r, :n - r]
+            general[2 * bandwidth - r, r:] = band[r, :n - r]
+        lu, _, x, info = dgbsv(bandwidth, bandwidth, general, rhs)
+        pivots = np.abs(lu[2 * bandwidth])
+        ratio = pivots.min() / pivots.max() if info == 0 else 0.0
+        if ratio >= SINGULAR_PIVOT_RATIO:
+            return x, False
+    raise SingularMatrix(
+        f"pivot ratio {ratio:.3e} below threshold; structure is unstable or "
+        "a mechanism")

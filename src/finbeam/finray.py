@@ -101,8 +101,10 @@ class FinRayParams:
     def __post_init__(self):
         typed_fields(self, positive=("width", "height", "section_b",
                                      "section_h", "e_modulus", "refinement"))
-        if not 0 < self.top_angle < 90:
-            raise ValueError(f"top_angle must be in (0, 90) degrees, "
+        # past 89 degrees the back fin lies almost flat, and consecutive
+        # crossbeams attach to it within rounding of each other
+        if not 0 < self.top_angle <= 89:
+            raise ValueError(f"top_angle must be in (0, 89] degrees, "
                              f"got {self.top_angle}")
         if not abs(self.inclination) < 45:
             raise ValueError(f"|inclination| must be below 45 degrees, "
@@ -175,7 +177,6 @@ def generate(params: FinRayParams) -> FinRayModel:
     front_y = [i * h / (k + 1) for i in range(1, k + 1)]
     phi = math.radians(NOMINAL_CROSSBEAM_RISE_DEG) - gamma
     back_points = []
-    last_t = 0.0
     for y in front_y:
         denom = math.cos(phi) + math.sin(phi) * w_b / h
         if denom <= 0.0:
@@ -188,11 +189,6 @@ def generate(params: FinRayParams) -> FinRayModel:
             raise GeometryInfeasible(
                 f"crossbeam at height {y:.4g} attaches outside the back fin "
                 f"(parameter {t:.3f})")
-        if t <= last_t:
-            raise GeometryInfeasible(
-                "crossbeams overlap on the back fin; reduce |inclination| "
-                "or the crossbeam count")
-        last_t = t
         back_points.append((w_b * (1.0 - t), h * t))
 
     coords: list[tuple[float, float]] = []

@@ -8,8 +8,9 @@ tangent reassembled from the current trial state every iteration) until
 the force residual norm over the free DOFs drops below the tolerance. A
 step that would reach or pass the next requested load level lands on it
 exactly, at fixed load. Every converged state's tangent is factored once:
-the exact count of its negative eigenvalues audits the state, and its
-solve gives the next predictor.
+whether its Cholesky factor completes, a pivot test rather than an
+eigenvalue count, audits the state, and its solve gives the next
+predictor.
 
 ``solve`` samples the path at ``n_inc`` equal load levels and ends at its
 first instability, reported as data, not raised. ``trace_loads``, a design
@@ -147,12 +148,12 @@ def solve(
 
     The solve ends with status "diverged", a cause and the records before
     level ``diverged_at`` on: a converged state, the last one included,
-    whose tangent has a negative eigenvalue ("indefinite") or is singular
-    ("SingularMatrix"); or, when ARC_MAX_CUTS halvings in a row or the
-    level's maxiter iterations are spent or a step no longer moves the
-    load, the last failed step's singular tangent, degenerate element
-    ("DegenerateElement"), non-finite residual ("non-finite") or
-    non-convergence ("no convergence").
+    whose tangent is not positive definite ("indefinite") or is singular
+    ("SingularMatrix"), by solve_linear's pivot tests; or, when
+    ARC_MAX_CUTS halvings in a row or the level's maxiter iterations are
+    spent or a step no longer moves the load, the last failed step's
+    singular tangent, degenerate element ("DegenerateElement"), non-finite
+    residual ("non-finite") or non-convergence ("no convergence").
 
     Raises ModelError when the load fails make_load_case's check: a wrong
     shape, a non-finite entry or a force on a fixed DOF.
@@ -274,8 +275,8 @@ def _trace(
     cylindrical arc length, landing exactly on each of the ascending load
     factors ``levels``.
 
-    Each converged state's tangent is factored once: its negative
-    eigenvalue count audits the state and x_f = K^-1 f_ref is the next
+    Each converged state's tangent is factored once: whether it is
+    positive definite audits the state and x_f = K^-1 f_ref is the next
     predictor's direction, du = d x_f. An arc step takes d = arc / ||x_f||,
     the first arc min(ARC_FIRST_STEP, levels[0]) ||x_f||. A step that would
     reach or pass the next level is a fixed-load step to it instead, which
@@ -305,8 +306,8 @@ def _trace(
     cuts = spent = refined = 0
     while True:
         try:
-            x_f, negative = solve_linear(k_s, f_free)
-            cause = "indefinite" if negative else None
+            x_f, positive_definite = solve_linear(k_s, f_free)
+            cause = None if positive_definite else "indefinite"
         except SingularMatrix:
             cause = "SingularMatrix"
         if cause is not None:

@@ -235,9 +235,9 @@ def plain_solve(structure, load_case, config):
     for n in range(1, config.n_inc + 1):
         f_ext = (n / config.n_inc) * f_total
         try:
-            step, negative = solve_linear(assemble_tangent(structure, states),
-                                          apply_supports(d_f, band))
-            if negative > 0 and records:
+            step, positive_definite = solve_linear(
+                assemble_tangent(structure, states), apply_supports(d_f, band))
+            if not positive_definite and records:
                 return records[:-1], "indefinite"
             du = np.zeros(n_dof)
             du[band.order] = step
@@ -291,11 +291,11 @@ def plain_path(structure, f_ref, levels, tolerance, maxiter, lam_resolution):
     def audited(state):
         # (x_f, cause), the cause None when the tangent is positive definite
         try:
-            x_f, negative = solve_linear(assemble_tangent(structure, state),
-                                         f_free)
+            x_f, positive_definite = solve_linear(
+                assemble_tangent(structure, state), f_free)
         except SingularMatrix:
             return None, "SingularMatrix"
-        return x_f, "indefinite" if negative else None
+        return x_f, None if positive_definite else "indefinite"
 
     def step(good, d_lam, lam, budget, arc):
         # ((u, lam, state, r_vec, r_norm), iterations) once converged, or

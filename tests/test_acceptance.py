@@ -397,16 +397,20 @@ def test_criterion_8_determinism(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
-    # the same sweep and probes under 1 and 2 BLAS threads
-    spec_file = tmp_path / "sweep.json"
-    spec_file.write_text(json.dumps({
-        "axis": "n_crossbeams", "values": [2, 3, 4, 5],
-        "load_magnitudes": [0.2, 0.4, 0.6],
-        "load_direction": list(CONTACT_DIR),
-    }))
-    one, two = (_probe_sweep_bytes(spec_file, tmp_path / f"threads{n}", n)
-                for n in (1, 2))
-    assert one[0] == two[0]
-    assert one[1] == two[1]
+    # the same sweeps and probes under 1 and 2 BLAS threads; the probes at
+    # refinement 12 solve tangents that are not positive definite by LU
+    specs = [{"values": [2, 3, 4, 5], "load_magnitudes": [0.2, 0.4, 0.6]},
+             {"values": [2, 3, 4], "load_magnitudes": [0.2, 0.4],
+              "base_params": {"refinement": 12}}]
+    for index, spec in enumerate(specs):
+        spec_file = tmp_path / f"sweep{index}.json"
+        spec_file.write_text(json.dumps({
+            "axis": "n_crossbeams", "load_direction": list(CONTACT_DIR),
+            **spec}))
+        one, two = (_probe_sweep_bytes(spec_file,
+                                       tmp_path / f"sweep{index}-threads{n}", n)
+                    for n in (1, 2))
+        assert one[0] == two[0]
+        assert one[1] == two[1]
     print("\nACCEPTANCE 8 (determinism): PASS (byte-identical CSV; "
           "sweep files identical at 1 and 2 BLAS threads)")

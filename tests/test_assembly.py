@@ -251,8 +251,8 @@ def test_positive_definite_band_solve_matches_dense_solve(rng):
     state = update_member_data(s, u)[0]
     block = dense_tangent(s, state)[np.ix_(free.order, free.order)]
     rhs = rng.standard_normal(len(free.order))
-    x, negative = solve_linear(assemble_tangent(s, state), rhs)
-    assert negative == 0
+    x, positive_definite = solve_linear(assemble_tangent(s, state), rhs)
+    assert positive_definite
     expected = np.linalg.solve(block, rhs)
     assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -261,9 +261,9 @@ class TestSolveLinear:
     def test_identity(self):
         rhs = np.zeros(4)
         rhs[2] = 1.0
-        x, negative = solve_linear(lower_band(np.eye(4)), rhs)
+        x, positive_definite = solve_linear(lower_band(np.eye(4)), rhs)
         assert np.allclose(x, rhs, atol=1e-15)
-        assert negative == 0
+        assert positive_definite
 
     def test_cantilever_tip_deflection_first_solve(self):
         length = 0.5
@@ -276,8 +276,9 @@ class TestSolveLinear:
         load = 0.05
         f[4] = load
         x = np.zeros(6)
-        x[free.order], negative = solve_linear(k_s, apply_supports(f, free))
-        assert negative == 0
+        x[free.order], positive_definite = solve_linear(
+            k_s, apply_supports(f, free))
+        assert positive_definite
         assert x[4] == pytest.approx(load * length**3 / (3 * E_MOD * INERTIA),
                                      rel=1e-10)
         assert x[5] == pytest.approx(load * length**2 / (2 * E_MOD * INERTIA),
@@ -293,94 +294,118 @@ class TestSolveLinear:
             solve_linear(lower_band(k), np.zeros(6))
 
     def test_negative_count_of_a_pure_row_swap(self):
-        # eigenvalues +1 and -1, held in one 2x2 block with zero diagonal
-        x, negative = solve_linear(
+        # eigenvalues +1 and -1: Cholesky stops at the zero first pivot,
+        # and LU exchanges the two rows
+        x, positive_definite = solve_linear(
             lower_band(np.array([[0.0, 1.0], [1.0, 0.0]])),
             np.array([2.0, 3.0]))
         assert np.array_equal(x, [3.0, 2.0])
-        assert negative == 1
+        assert not positive_definite
 
-    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["dpbsv", "dsytrf"])
-    def test_slots_past_the_matrix_are_not_read(self, rng, shift):
-        # the default finger's tangent at rest, positive definite, and the
-        # same less half its largest diagonal entry on the diagonal, which
-        # is indefinite and so factorised by dsytrf
-        s = generate(FinRayParams()).structure
+    # the default finger's tangent at rest, positive definite, and the
+    # same less half its largest diagonal entry on the diagonal, which is
+    # indefinite and so solved by dgbsv, also at refinement 12 (n 384)
+    SHIFTED_BANDS = pytest.mark.parametrize(
+        "refinement, shift", [(4, 0.0), (4, 0.5), (12, 0.5)],
+        ids=["dpbsv", "dgbsv", "dgbsv-refinement-12"])
+
+    @staticmethod
+    def shifted_band(refinement, shift):
+        s = generate(FinRayParams(refinement=refinement)).structure
         band = assemble_tangent(s, update_member_data(s, np.zeros(s.n_dof))[0])
+        assert band.shape == ((12, 120) if refinement == 4 else (12, 384))
         band[0] -= shift * band[0].max()
+        return band
+
+    @SHIFTED_BANDS
+    def test_slots_past_the_matrix_are_not_read(self, rng, refinement, shift):
+        band = self.shifted_band(refinement, shift)
         offset, column = np.indices(band.shape)
         past = offset + column >= band.shape[1]
         assert past.any() and np.all(band[past] == 0.0)
         poisoned = band.copy()
         poisoned[past] = np.nan
         rhs = rng.standard_normal(band.shape[1])
-        x, negative = solve_linear(band, rhs)
-        assert (negative > 0) == (shift > 0)
-        x_poisoned, negative_poisoned = solve_linear(poisoned, rhs)
+        x, positive_definite = solve_linear(band, rhs)
+        assert positive_definite == (shift == 0)
+        x_poisoned, positive_definite_poisoned = solve_linear(poisoned, rhs)
         assert np.array_equal(x_poisoned, x)
-        assert negative_poisoned == negative
+        assert positive_definite_poisoned == positive_definite
 
-    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["dpbsv", "dsytrf"])
-    def test_columns_solve_as_single_right_hand_sides(self, rng, shift):
-        # the bands of the test above; a 2-column solve shares one
-        # factorization, and each column must come out as its own solve
-        s = generate(FinRayParams()).structure
-        band = assemble_tangent(s, update_member_data(s, np.zeros(s.n_dof))[0])
-        band[0] -= shift * band[0].max()
+    @SHIFTED_BANDS
+    def test_columns_solve_as_single_right_hand_sides(self, rng, refinement,
+                                                      shift):
+        # a 2-column solve shares one factorization, and each column must
+        # come out as its own solve
+        band = self.shifted_band(refinement, shift)
         rhs = rng.standard_normal((band.shape[1], 2))
-        x, negative = solve_linear(band, rhs)
+        x, positive_definite = solve_linear(band, rhs)
         assert x.shape == rhs.shape
         for column in range(2):
-            single, single_negative = solve_linear(band, rhs[:, column].copy())
+            single, single_positive_definite = solve_linear(
+                band, rhs[:, column].copy())
             assert np.array_equal(x[:, column], single)
-            assert single_negative == negative
-        assert (negative > 0) == (shift > 0)
+            assert single_positive_definite == positive_definite
+        assert positive_definite == (shift == 0)
+        if not positive_definite:
+            # the LU solve against a dense one; the unshifted tangent's
+            # condition number is 5e8, too large for this bound
+            lower = band_to_lower(band)
+            expected = np.linalg.solve(lower + np.tril(lower, -1).T, rhs)
+            assert (np.abs(x - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
 
     @staticmethod
-    def counted_dsytrf(monkeypatch):
+    def counted_dgbsv(monkeypatch):
         calls = []
-        exact = assembly.dsytrf
+        exact = assembly.dgbsv
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[2].shape)
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(assembly, "dsytrf", counted)
+        monkeypatch.setattr(assembly, "dgbsv", counted)
         return calls
 
-    @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0)],
-                             ids=["first-pivot", "pivot", "coupling"])
-    def test_nan_takes_the_ldlt_path(self, monkeypatch, slot):
-        calls = self.counted_dsytrf(monkeypatch)
-        band = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+    @pytest.mark.parametrize("slot, first, lu_calls", [
+        ((0, 0), 4.0, 0), ((0, 1), 4.0, 0), ((1, 0), 4.0, 0),
+        ((1, 1), -4.0, 1),
+    ], ids=["first-pivot", "pivot", "coupling", "after-a-negative-pivot"])
+    def test_nan_fails_the_pivot_ratio(self, monkeypatch, slot, first,
+                                       lu_calls):
+        # banded Cholesky carries a NaN through to the factor's diagonal
+        # without stopping; after a negative first pivot LU carries it to
+        # U's diagonal; either pivot-ratio test refuses it
+        calls = self.counted_dgbsv(monkeypatch)
+        band = np.array([[first, 4.0, 4.0], [1.0, 1.0, 0.0]])
         band[slot] = np.nan
         with pytest.raises(SingularMatrix, match="pivot ratio nan"):
             solve_linear(band, np.array([1.0, 2.0, 3.0]))
-        assert calls == [(3, 3)]
+        assert len(calls) == lu_calls
 
     @pytest.mark.parametrize("share", [0.999, 1.001], ids=["under", "over"])
     def test_cholesky_pivot_at_the_singular_ratio(self, monkeypatch, share):
         # pivots 1, share * SINGULAR_PIVOT_RATIO and 1: just under the
-        # ratio the Cholesky factor is refused and L D L^T finds the same
-        # pivot too small; just over it, the Cholesky solve stands
-        calls = self.counted_dsytrf(monkeypatch)
+        # ratio the completed Cholesky factor is refused, with no LU
+        # solve; just over it, the Cholesky solve stands
+        calls = self.counted_dgbsv(monkeypatch)
         pivot = share * assembly.SINGULAR_PIVOT_RATIO
         band = np.array([[1.0, pivot, 1.0]])
         rhs = np.array([1.0, 2.0, 3.0])
         if share < 1.0:
             with pytest.raises(SingularMatrix, match="pivot ratio 9.990e-13"):
                 solve_linear(band, rhs)
-            assert calls == [(3, 3)]
         else:
-            x, negative = solve_linear(band, rhs)
+            x, positive_definite = solve_linear(band, rhs)
             assert x == pytest.approx([1.0, 2.0 / pivot, 3.0], rel=1e-14)
-            assert negative == 0
-            assert calls == []
+            assert positive_definite
+        assert calls == []
 
     @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
     def test_negative_count_matches_eigenvalues(self, rng, n_negative):
+        # positive definite exactly when eigvalsh finds no negative
+        # eigenvalue, and either factor solves
         n = 30
-        blocks = 0
         for _ in range(20):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             spectrum = rng.uniform(0.1, 10.0, n)
@@ -389,14 +414,9 @@ class TestSolveLinear:
             k = 0.5 * (k + k.T)
             expected = np.count_nonzero(np.linalg.eigvalsh(k) < 0.0)
             assert expected == n_negative
-            x, negative = solve_linear(lower_band(k), np.ones(n))
-            assert negative == expected
+            x, positive_definite = solve_linear(lower_band(k), np.ones(n))
+            assert positive_definite == (expected == 0)
             assert np.allclose(k @ x, 1.0, atol=1e-10)
-            blocks += np.any(lapack.dsytrf(k, lower=1)[1] < 0)
-        # Bunch-Kaufman pivoting chose a 2x2 block for some of the
-        # indefinite matrices; such a block is indefinite itself, so a
-        # positive definite matrix never gets one
-        assert (blocks > 0) == (n_negative > 0)
 
 
 def test_global_tangent_matches_finite_differences(rng):
@@ -520,7 +540,7 @@ for name in ("scipy.linalg", "numpy.testing"):
 SAME_ROUTINES = """
 import scipy.linalg.lapack
 from finbeam import assembly
-for name in ("dpbsv", "dsytrf", "dsytrs"):
+for name in ("dpbsv", "dgbsv"):
     assert getattr(assembly, name) is getattr(scipy.linalg.lapack, name), name
 """
 
@@ -543,22 +563,24 @@ def test_lapack_routines_are_scipy_linalg_lapacks(script):
 def test_lapack_falls_back_to_scipy_linalg_lapack(monkeypatch):
     monkeypatch.setattr(assembly, "_flapack_file", lambda: None)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    names = ("dpbsv", "dsytrf", "dsytrs")
+    names = ("dpbsv", "dgbsv")
     for name, routine in zip(names, assembly._lapack(*names)):
         assert routine is getattr(lapack, name)
         monkeypatch.setattr(assembly, name, routine)
     # pinned from the scipy.linalg.lapack binding, bit for bit
     k = (np.diag([4.0, 5.0, 6.0, 7.0])
          + np.diag([-1.0, -1.5, -2.0], 1) + np.diag([-1.0, -1.5, -2.0], -1))
-    x, negative = solve_linear(lower_band(k), np.array([1.0, 2.0, 3.0, 4.0]))
+    x, positive_definite = solve_linear(lower_band(k),
+                                        np.array([1.0, 2.0, 3.0, 4.0]))
     assert [v.hex() for v in x] == [
         "0x1.c872fc80f89e7p-2", "0x1.90e5f901f13cep-1",
         "0x1.f582e9db7bebcp-1", "0x1.b3dc42d0fed5bp-1"]
-    assert negative == 0
+    assert positive_definite
     k = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, -3.0]])
-    x, negative = solve_linear(lower_band(k), np.array([1.0, 2.0, 3.0]))
+    x, positive_definite = solve_linear(lower_band(k),
+                                        np.array([1.0, 2.0, 3.0]))
     assert x.tolist() == [1.75, -0.375, -1.125]
-    assert negative == 2
+    assert not positive_definite
 
 
 def test_fresh_process_sweep_is_byte_identical(tmp_path):

@@ -131,17 +131,17 @@ class TestGenerate:
         with pytest.raises(GeometryInfeasible):
             generate(FinRayParams(top_angle=60.0, inclination=44.0))
 
-    @pytest.mark.parametrize("params, match", [
-        (FinRayParams(top_angle=80.0, inclination=44.0),
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"top_angle": 80.0, "inclination": 44.0}, GeometryInfeasible,
          "never reaches the back fin"),
-        # consecutive crossbeams attach within rounding of each other on
-        # a back fin that lies almost flat
-        (FinRayParams(top_angle=90.0 - 1e-13, inclination=-40.0,
-                      n_crossbeams=5), "crossbeams overlap on the back fin"),
+        # a back fin that lies almost flat, where consecutive crossbeams
+        # would attach within rounding of each other, is out of range
+        ({"top_angle": 90.0 - 1e-13, "inclination": -40.0,
+          "n_crossbeams": 5}, ValueError, r"top_angle must be in \(0, 89\]"),
     ], ids=["never-reaches", "overlap"])
-    def test_infeasible_layout_names_its_cause(self, params, match):
-        with pytest.raises(GeometryInfeasible, match=match):
-            generate(params)
+    def test_infeasible_layout_names_its_cause(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            generate(FinRayParams(**kwargs))
 
     def test_deterministic(self):
         a = generate(FinRayParams())
