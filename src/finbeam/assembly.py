@@ -18,14 +18,12 @@ Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
 K_BASIS, both fixed at import. K is assembled straight into the lower
 band of its free DOFs, in reverse Cuthill-McKee order, and factorised:
 by Cholesky when it is positive definite, otherwise by LU with partial
-pivoting; whether Cholesky succeeds is the stability audit. Each public
-kernel runs ``silenced``; a solver path, silenced once, calls their
-``__wrapped__``.
+pivoting; whether Cholesky succeeds is the stability audit. The kernels
+follow the caller's np.errstate on an overflowing or non-finite state.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -154,14 +152,6 @@ def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
 _FEATURE_ROWS, K_BASIS = _tangent_basis()
 
 
-def silenced(body):
-    """``body`` inside np.errstate(over="ignore", invalid="ignore")."""
-    def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return body(*args, **kwargs)
-    return functools.update_wrapper(wrapper, body)
-
-
 def current_geometry(
     structure: Structure,
     p: np.ndarray,
@@ -175,7 +165,7 @@ def current_geometry(
     column-major (n_elements, 4) columns (c, s, c/L, s/L), (c, s) the
     direction cosines, transposed from ``out`` if given. Raises
     DegenerateElement when an element's displaced nodes (nearly) coincide.
-    A non-finite displacement gives non-finite geometry and warnings.
+    A non-finite displacement gives non-finite geometry.
     """
     chord = structure.element_chord0.T + (p.T[3:5] - p.T[:2])
     length = np.hypot(chord[0], chord[1])
@@ -192,7 +182,6 @@ def current_geometry(
     return length, columns.T
 
 
-@silenced
 def update_member_data(
     structure: Structure,
     displacement: np.ndarray,
@@ -209,7 +198,7 @@ def update_member_data(
     Cl = diag(EA/L0, (EI/L0) [[4, 2], [2, 4]]). Each element's
     B^T [N, M1, M2] is [N c, N s, (M1+M2) c/L, (M1+M2) s/L, M1, M2]
     @ Q_BASIS, scatter-added in element order. A non-finite displacement
-    gives a non-finite F_int, not an exception.
+    gives a non-finite F_int.
     """
     p = displacement[structure.element_dof_rows]
     rows = structure.element_tangent_rows.copy()
@@ -230,7 +219,6 @@ def update_member_data(
     return rows, f_int
 
 
-@silenced
 def element_tangent_stiffness(rows: np.ndarray) -> np.ndarray:
     """(n_elements, 6, 6) consistent tangents of the element state ``rows``
     (see update_member_data), the exact Jacobians of the element forces:
@@ -244,7 +232,7 @@ def element_tangent_stiffness(rows: np.ndarray) -> np.ndarray:
     a bilinear form in x = (1, c, s, c/L, s/L): (n_elements, 15) features,
     each a coefficient times x_i x_j, times the (15, 36) symmetric patterns
     of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
-    M1 = M2 = 0. An overflowed feature gives a non-finite k, not a warning.
+    M1 = M2 = 0. An overflowed feature gives a non-finite k.
     """
     # half the cost of rows[_FEATURE_ROWS]
     factors = rows.take(_FEATURE_ROWS, axis=0)
@@ -253,10 +241,6 @@ def element_tangent_stiffness(rows: np.ndarray) -> np.ndarray:
     return (features.T @ K_BASIS).reshape(rows.shape[1], 6, 6)
 
 
-_element_tangents = element_tangent_stiffness.__wrapped__
-
-
-@silenced
 def assemble_tangent(structure: Structure, rows: np.ndarray) -> np.ndarray:
     """Consistent tangent of the free DOFs at the element state ``rows``
     (see update_member_data), in LAPACK's lower band storage,
@@ -271,7 +255,7 @@ def assemble_tangent(structure: Structure, rows: np.ndarray) -> np.ndarray:
     band = structure.free_band
     n_free = len(band.order)
     size = (band.bandwidth + 1) * n_free
-    k_el = _element_tangents(rows)
+    k_el = element_tangent_stiffness(rows)
     slots = np.bincount(band.slots, weights=k_el.ravel(), minlength=size + 1)
     return slots[:size].reshape(n_free, -1).T
 

@@ -242,13 +242,9 @@ class Structure:
         slots of every element's tangent entries (see FreeBand)."""
         free = np.ones(self.n_dof, dtype=bool)
         free[self.supports.dofs] = False
-        has_free = free.reshape(-1, 3).any(axis=1)
-        adjacency: list[set[int]] = [set() for _ in self.nodes]
-        for e in self.elements:
-            if has_free[e.node_i] and has_free[e.node_j]:
-                adjacency[e.node_i].add(e.node_j)
-                adjacency[e.node_j].add(e.node_i)
-        nodes = _reverse_cuthill_mckee(adjacency, has_free.tolist())
+        has_free = free.reshape(-1, 3).any(axis=1).tolist()
+        nodes = _reverse_cuthill_mckee(_adjacency(self.elements, has_free),
+                                       has_free)
         order = np.array([dof for node in nodes
                           for dof in range(3 * node, 3 * node + 3)
                           if free[dof]], dtype=np.intp)
@@ -357,73 +353,65 @@ def build_structure(
 def _check_connected(n_nodes: int, elements: Sequence[Element]) -> None:
     if n_nodes == 0:
         raise ModelError("structure has no nodes")
-    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for e in elements:
-        adjacency[e.node_i].append(e.node_j)
-        adjacency[e.node_j].append(e.node_i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != n_nodes:
-        missing = sorted(set(range(n_nodes)) - seen)
+    levels = _breadth_first(_adjacency(elements, [True] * n_nodes), 0)
+    missing = sorted(set(range(n_nodes)).difference(*levels))
+    if missing:
         raise Disconnected(f"nodes {missing} are not connected to node 0")
 
 
-def _reverse_cuthill_mckee(
-    adjacency: Sequence[set[int]],
-    included: Sequence[bool],
-) -> list[int]:
+def _adjacency(elements: Sequence[Element], included: Sequence[bool]) -> list:
+    """Each node's neighbours through the elements that join two included
+    nodes, by ascending degree, then node id."""
+    linked: list[set[int]] = [set() for _ in included]
+    for e in elements:
+        if included[e.node_i] and included[e.node_j]:
+            linked[e.node_i].add(e.node_j)
+            linked[e.node_j].add(e.node_i)
+    return [sorted(nbs, key=lambda nb: (len(linked[nb]), nb))
+            for nbs in linked]
+
+
+def _breadth_first(adjacency: Sequence[list[int]], root: int) -> list:
+    """The levels of root's component, breadth first, each node's
+    unvisited neighbours in adjacency order."""
+    seen, levels = {root}, [[root]]
+    while levels[-1]:
+        level = []
+        for node in levels[-1]:
+            fresh = [nb for nb in adjacency[node] if nb not in seen]
+            seen.update(fresh)
+            level += fresh
+        levels.append(level)
+    return levels[:-1]
+
+
+def _reverse_cuthill_mckee(adjacency: Sequence[list[int]],
+                           included: Sequence[bool]) -> list[int]:
     """The included nodes in reverse Cuthill-McKee order (Cuthill & McKee
     1969), which keeps every edge close to the diagonal.
 
-    Each connected component is numbered breadth first from a
-    pseudo-peripheral node (George & Liu 1979), taking each node's
-    unnumbered neighbours by ascending degree, then node id; the whole
-    numbering is then reversed. ``adjacency`` must link included nodes
+    Each connected component is numbered by _breadth_first from a
+    pseudo-peripheral node (George & Liu 1979): from the component's node
+    of lowest (degree, id), the search moves to the lowest of the last
+    level until the levels stop growing in number; its last walk is the
+    numbering, which is then reversed. ``adjacency`` links included nodes
     only.
     """
     def key(node: int) -> tuple[int, int]:
         return len(adjacency[node]), node
 
-    numbered = [not flag for flag in included]
-    order: list[int] = []
+    numbered, order = set(), []
     for root in sorted(range(len(adjacency)), key=key):
-        if numbered[root]:
+        if root in numbered or not included[root]:
             continue
-        root = _pseudo_peripheral(adjacency, root, key)
-        numbered[root] = True
-        queue = [root]
-        for node in queue:
-            fresh = sorted((nb for nb in adjacency[node] if not numbered[nb]),
-                           key=key)
-            for nb in fresh:
-                numbered[nb] = True
-            queue.extend(fresh)
-        order.extend(queue)
+        levels, walk = [], _breadth_first(adjacency, root)
+        while len(walk) > len(levels):
+            levels = walk
+            walk = _breadth_first(adjacency, min(levels[-1], key=key))
+        component = [node for level in walk for node in level]
+        numbered.update(component)
+        order.extend(component)
     return order[::-1]
-
-
-def _pseudo_peripheral(adjacency: Sequence[set[int]], node: int, key) -> int:
-    """A node of nearly maximal eccentricity in node's component: move to
-    the lowest-key node of the last breadth-first level until the number
-    of levels stops growing."""
-    eccentricity = -1
-    while True:
-        depth = {node: 0}
-        queue = [node]
-        for current in queue:
-            for nb in adjacency[current]:
-                if nb not in depth:
-                    depth[nb] = depth[current] + 1
-                    queue.append(nb)
-        if depth[queue[-1]] <= eccentricity:
-            return node
-        eccentricity = depth[queue[-1]]
-        node = min((v for v in queue if depth[v] == eccentricity), key=key)
 
 
 def load_case(

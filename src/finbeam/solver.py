@@ -15,10 +15,9 @@ predictor.
 ``solve`` samples the path at ``n_inc`` equal load levels and ends at its
 first instability, reported as data, not raised. ``trace_loads``, a design
 sweep's one path per variant, lands on given loads and on a probe's f_hi,
-refining the first instability to the probe's resolution.
-
-``_trace`` runs silenced (assembly.silenced), so this module's
-update_member_data and assemble_tangent are unsilenced bodies.
+refining the first instability to the probe's resolution. ``_trace``
+enters a fresh np.errstate per path that ignores overflow and invalid
+operations, which a diverging path meets in the element kernels.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import assembly
 from .assembly import (DegenerateElement, SingularMatrix, apply_supports,
-                       silenced, solve_linear)
+                       assemble_tangent, solve_linear, update_member_data)
 from .model import (LoadCase, Structure, SupportSet, make_load_case,
                     typed_fields)
 
 log = logging.getLogger(__name__)
-update_member_data = assembly.update_member_data.__wrapped__
-assemble_tangent = assembly.assemble_tangent.__wrapped__
 
 # Arc-length continuation: the first predictor's largest share of the load
 # pattern, the corrector iterations a step adapts toward and may take,
@@ -262,7 +258,6 @@ class _PathState:
     x_f: np.ndarray
 
 
-@silenced
 def _trace(
     structure: Structure,
     f_ref: np.ndarray,
@@ -296,80 +291,81 @@ def _trace(
     path (None when every level was reached) and the last
     positive-definite state (None when the unloaded tangent is not).
     """
-    f_free = apply_supports(f_ref, structure.free_band)
-    f_int, k_s = structure.unloaded
-    u, lam = np.zeros(structure.n_dof), 0.0
-    r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
-    records: list[IncrementRecord] = []
-    good = None
-    landed = refining = False
-    cuts = spent = refined = 0
-    while True:
-        try:
-            x_f, positive_definite = solve_linear(k_s, f_free)
-            cause = None if positive_definite else "indefinite"
-        except SingularMatrix:
-            cause = "SingularMatrix"
-        if cause is not None:
-            if good is None or d_lam <= lam_resolution:
-                log.info("path ended at load factor %.6g (%s)", lam, cause)
-                return records, cause, good
-            refining = True
-            arc *= 0.5
-        else:
-            if good is None:
-                arc = min(ARC_FIRST_STEP, levels[0]) * np.linalg.norm(x_f)
-            elif not refining:
-                arc *= min(ARC_MAX_GROWTH, math.sqrt(
-                    ARC_TARGET_ITERATIONS / max(iterations, 1)))
-            elif refined == REFINE_MAX_STATES:
-                log.info("refinement ended at load factor %.6g after %d "
-                         "states", lam, refined)
-                return records, "refinement bound", good
-            else:
-                refined += 1
-            good, cuts = _PathState(u, lam, r_vec, x_f), 0
-            if landed:
-                records.append(IncrementRecord(len(records) + 1, u, spent,
-                                               r_norm))
-                spent = 0
-                if len(records) == len(levels):
-                    return records, None, good
-
-        cause = "no convergence"
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_free = apply_supports(f_ref, structure.free_band)
+        f_int, k_s = structure.unloaded
+        u, lam = np.zeros(structure.n_dof), 0.0
+        r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
+        records: list[IncrementRecord] = []
+        good = None
+        landed = refining = False
+        cuts = spent = refined = 0
         while True:
-            level = levels[len(records)]
-            x_norm = np.linalg.norm(good.x_f)
-            # d = arc / ||x_f|| > 0: from a positive-definite state the
-            # path rises; the landing step may run back to a level the
-            # arc passed
-            d_lam = arc / x_norm
-            landed = not arc < (level - good.lam) * x_norm
-            if landed:
-                d_lam = level - good.lam
-                arc = abs(d_lam) * x_norm
-            budget = min(ARC_MAX_ITERATIONS, maxiter - spent)
-            if (cuts > ARC_MAX_CUTS or not budget
-                    or not landed and good.lam + d_lam == good.lam):
-                log.info("no step from load factor %.6g converges (%s)",
-                         good.lam, cause)
-                return records, cause, good
             try:
-                u, lam, rows, r_vec, r_norm, iterations = _correct(
-                    structure, good.u, d_lam * good.x_f,
-                    level if landed else good.lam + d_lam, f_ref, tolerance,
-                    budget, None if landed else arc)
-                cause = ("no convergence" if math.isfinite(r_norm)
-                         else "non-finite")
-            except (SingularMatrix, DegenerateElement) as exc:
-                cause, r_norm = type(exc).__name__, math.inf
-            if r_norm <= tolerance:
-                break
-            cuts += 1
-            spent += budget
-            arc *= 0.5
-        spent += iterations
-        k_s = assemble_tangent(structure, rows)
+                x_f, positive_definite = solve_linear(k_s, f_free)
+                cause = None if positive_definite else "indefinite"
+            except SingularMatrix:
+                cause = "SingularMatrix"
+            if cause is not None:
+                if good is None or d_lam <= lam_resolution:
+                    log.info("path ended at load factor %.6g (%s)", lam, cause)
+                    return records, cause, good
+                refining = True
+                arc *= 0.5
+            else:
+                if good is None:
+                    arc = min(ARC_FIRST_STEP, levels[0]) * np.linalg.norm(x_f)
+                elif not refining:
+                    arc *= min(ARC_MAX_GROWTH, math.sqrt(
+                        ARC_TARGET_ITERATIONS / max(iterations, 1)))
+                elif refined == REFINE_MAX_STATES:
+                    log.info("refinement ended at load factor %.6g after %d "
+                             "states", lam, refined)
+                    return records, "refinement bound", good
+                else:
+                    refined += 1
+                good, cuts = _PathState(u, lam, r_vec, x_f), 0
+                if landed:
+                    records.append(IncrementRecord(len(records) + 1, u, spent,
+                                                   r_norm))
+                    spent = 0
+                    if len(records) == len(levels):
+                        return records, None, good
+
+            cause = "no convergence"
+            while True:
+                level = levels[len(records)]
+                x_norm = np.linalg.norm(good.x_f)
+                # d = arc / ||x_f|| > 0: from a positive-definite state the
+                # path rises; the landing step may run back to a level the
+                # arc passed
+                d_lam = arc / x_norm
+                landed = not arc < (level - good.lam) * x_norm
+                if landed:
+                    d_lam = level - good.lam
+                    arc = abs(d_lam) * x_norm
+                budget = min(ARC_MAX_ITERATIONS, maxiter - spent)
+                if (cuts > ARC_MAX_CUTS or not budget
+                        or not landed and good.lam + d_lam == good.lam):
+                    log.info("no step from load factor %.6g converges (%s)",
+                             good.lam, cause)
+                    return records, cause, good
+                try:
+                    u, lam, rows, r_vec, r_norm, iterations = _correct(
+                        structure, good.u, d_lam * good.x_f,
+                        level if landed else good.lam + d_lam, f_ref,
+                        tolerance, budget, None if landed else arc)
+                    cause = ("no convergence" if math.isfinite(r_norm)
+                             else "non-finite")
+                except (SingularMatrix, DegenerateElement) as exc:
+                    cause, r_norm = type(exc).__name__, math.inf
+                if r_norm <= tolerance:
+                    break
+                cuts += 1
+                spent += budget
+                arc *= 0.5
+            spent += iterations
+            k_s = assemble_tangent(structure, rows)
 
 
 def _carried(state: _PathState, f_ref: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import finbeam
+import finbeam.solver
 from finbeam import (
     DegenerateElement,
     ElementProps,
@@ -293,9 +294,10 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(lower_band(k), np.zeros(6))
 
-    def test_negative_count_of_a_pure_row_swap(self):
-        # eigenvalues +1 and -1: Cholesky stops at the zero first pivot,
-        # and LU exchanges the two rows
+    def test_pivot_test_of_a_pure_row_swap(self):
+        # eigenvalues +1 and -1: Cholesky stops at the zero first pivot, so
+        # the pivot test finds K not positive definite, and LU exchanges
+        # the two rows
         x, positive_definite = solve_linear(
             lower_band(np.array([[0.0, 1.0], [1.0, 0.0]])),
             np.array([2.0, 3.0]))
@@ -402,9 +404,9 @@ class TestSolveLinear:
         assert calls == []
 
     @pytest.mark.parametrize("n_negative", [0, 1, 2, 3, 5, 10])
-    def test_negative_count_matches_eigenvalues(self, rng, n_negative):
-        # positive definite exactly when eigvalsh finds no negative
-        # eigenvalue, and either factor solves
+    def test_pivot_test_matches_eigenvalues(self, rng, n_negative):
+        # the Cholesky pivot test finds K positive definite exactly when
+        # eigvalsh finds no negative eigenvalue, and either factor solves
         n = 30
         for _ in range(20):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -471,6 +473,17 @@ def test_tangent_basis_rows_are_symmetric():
     assert np.array_equal(patterns, patterns.transpose(0, 2, 1))
     assert np.array_equal(K_BASIS, np.round(K_BASIS))
     assert np.all(patterns.any(axis=(1, 2)))
+
+
+def test_one_implementation_per_kernel():
+    # one version of each kernel: the solver calls the public ones, which
+    # follow the caller's np.errstate
+    assert finbeam.solver.update_member_data is assembly.update_member_data
+    assert finbeam.solver.assemble_tangent is assembly.assemble_tangent
+    for kernel in (assembly.current_geometry, assembly.update_member_data,
+                   assembly.element_tangent_stiffness,
+                   assembly.assemble_tangent):
+        assert not hasattr(kernel, "__wrapped__")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

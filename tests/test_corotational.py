@@ -313,10 +313,15 @@ def test_overflow_scale_forces_raise_no_warning():
         k = element_tangent_stiffness(rows)
         assert rows[3, 0] == pytest.approx(1e300)
         assert np.isfinite(q).all() and np.isfinite(k).all()
-        # an overflowed feature N c (c/L) gives a non-finite tangent
+        # an overflowed feature N c (c/L) gives a non-finite tangent; the
+        # kernel follows the caller's np.errstate
         rows = s.element_tangent_rows.copy()
         rows[3], rows[6:] = 1e300, [[1.0], [0.0], [1e9], [0.0]]
-        assert not np.isfinite(element_tangent_stiffness(rows)).all()
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                element_tangent_stiffness(rows)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(element_tangent_stiffness(rows)).all()
 
 
 def test_rest_tangent_matches_linear_frame_matrix():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import typing
 
@@ -388,6 +389,44 @@ def test_band_holds_every_element_coupling(name):
     # three nodes apart (two with simple connections); in node order the
     # default finger's band is 107 wide
     assert free.bandwidth == (8 if name == "connection=simple" else 11)
+
+
+# sha256 of each free band's (order, bandwidth, slots). The band order sets
+# the summation order, and so the roundoff, of every factor and solve; the
+# angle variants share the default finger's mesh graph.
+DEFAULT_BAND = {
+    4: "23e63c59101546347be101452f454d40f3bbb4b675dbab1c6c8fd957607c4059",
+    12: "c52b59912e2f3d08cc7823086b1d343ff1211fa799b6a135c80a8c19a0d969dc"}
+BAND_DIGESTS = {
+    "n_crossbeams=2": {
+        4: "6d05578dea26d1875a4adee8c8c6f784aa8eafc1deaef9558b13740dd3e151d0",
+        12: "cfcfda0a294809cff9691b20b4f8761b4e1398b4d0d2d4ae8076e16027a95a19"},
+    "n_crossbeams=4": {
+        4: "6444a1a73957f27229bd5c5b70e1f3a67c7c6403326f31a85aeddffd4057bb89",
+        12: "5b0696b1c27b93b8ceabc772f7ecf3bb08bf16d5fdb6e0e5678c80a70d02edcc"},
+    "connection=simple": {
+        4: "088091883c3fd1d55bda10d84975255d4821e2d5e021a79c77e051e138645475",
+        12: "02d28876a4558b6c41bc6545511d87bad98d09ddccb51952eda2bc76a47773cc"},
+}
+SPLIT_BAND = "42e948498bcf4aba108ea155d7820c24fee138f5ba3d952eb8752e04a9ef8ad9"
+
+
+def band_digest(structure):
+    free = structure.free_band
+    return hashlib.sha256(repr((free.order.tolist(), free.bandwidth,
+                                free.slots.tolist())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("refinement", [4, 12])
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_band_order_is_pinned(name, refinement):
+    params = dataclasses.replace(STUDY_FINGERS[name], refinement=refinement)
+    assert band_digest(generate(params).structure) == BAND_DIGESTS.get(
+        name, DEFAULT_BAND)[refinement]
+
+
+def test_band_order_of_a_split_structure_is_pinned():
+    assert band_digest(split_by_a_fixed_node()) == SPLIT_BAND
 
 
 def test_public_names_resolve_and_are_unique():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -289,9 +290,9 @@ def test_infinite_rotation_diverges_as_non_finite(monkeypatch):
     rotations = model.structure.free_band.order % 3 == 2
 
     def infinite_rotation_step(k_s, rhs):
-        step, negative = exact(k_s, rhs)
+        step, positive_definite = exact(k_s, rhs)
         step[rotations] = np.inf
-        return step, negative
+        return step, positive_definite
 
     monkeypatch.setattr(finbeam.solver, "solve_linear",
                         infinite_rotation_step)
@@ -346,7 +347,8 @@ def test_probe_factorizations_of_the_two_crossbeam_finger(monkeypatch):
 def test_euler_column_ends_at_critical_load(make_cantilever):
     # clamped-free column under axial tip compression buckles at
     # P_cr = pi^2 EI / (4 L^2); the perfect column stays straight, so only
-    # the tangent's negative-eigenvalue count can show the bifurcation
+    # the Cholesky pivot test, which fails once the tangent is no longer
+    # positive definite, can show the bifurcation
     s = make_cantilever(16, length=FINGER_HEIGHT)
     p_cr = math.pi**2 * E_MOD * INERTIA / (4 * FINGER_HEIGHT**2)
     pattern = np.zeros(s.n_dof)
@@ -765,6 +767,46 @@ def test_probe_restores_the_floating_point_error_state(ending, monkeypatch):
         assert np.geterr() == before
     expected = {"BracketInvalid": "BracketInvalid", "raised": "Escaped"}
     assert found == expected.get(ending, pytest.approx(limit, abs=0.002))
+
+
+def test_concurrent_solves_of_one_structure():
+    # two threads solve one shared study Structure at once, one load that
+    # completes and one (1e300 N) that overflows, each thread under its own
+    # np.errstate: each gets the single-threaded records, and each path's
+    # fresh errstate leaves its own thread's state as it was
+    model = generate(STUDY_FINGERS["default"])
+    s, config = model.structure, SolverConfig(n_inc=5)
+    cases = [load_at_contact_node(model, 2, magnitude)
+             for magnitude in (0.3, 1e300)]
+
+    def records(result):
+        return result.cause, [(r.n, r.displacement.tobytes(), r.iterations,
+                               r.residual_norm) for r in result.increments]
+
+    expected = [records(solve(s, case, config)) for case in cases]
+    assert [cause for cause, _ in expected] == [None, "non-finite"]
+    start = threading.Barrier(2)
+    outcomes = [[], []]
+
+    def run(k):
+        try:
+            mode = ("raise", "warn")[k]
+            with np.errstate(over=mode, invalid=mode):
+                before = np.geterr()
+                start.wait()
+                for _ in range(20):
+                    outcomes[k].append(records(solve(s, cases[k], config)))
+                    assert np.geterr() == before
+        except BaseException as exc:  # reported by the main thread
+            outcomes[k].append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for k in (0, 1):
+        assert outcomes[k] == [expected[k]] * 20
 
 
 def _apex_load(structure, magnitude):
