@@ -38,16 +38,13 @@ from .model import FreeBand, Structure
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _flapack_file() -> str | None:
-    """Path of scipy's compiled LAPACK extension, found without importing
-    scipy, or None."""
-    spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+def _flapack_spec() -> importlib.machinery.ModuleSpec | None:
+    """The path finder's spec of scipy's compiled LAPACK extension in
+    scipy's linalg directories, found without importing scipy, or None."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = (scipy and scipy.submodule_search_locations) or ()
+    return importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(root, "linalg") for root in roots])
 
 
 def _lapack(*names: str) -> list:
@@ -56,20 +53,19 @@ def _lapack(*names: str) -> list:
 
     The package init of scipy.linalg takes twice as long as the rest of
     ``import finbeam.cli`` (its array-API layer pulls in numpy.testing,
-    numpy.f2py and numpy.ma), so the extension is loaded alone, under its
-    own name, where an earlier or later ``import scipy.linalg`` finds it.
-    Falls back to ``scipy.linalg.lapack`` when the file is not found.
+    numpy.f2py and numpy.ma), so the extension that _flapack_spec finds is
+    loaded alone, under its own name, where an earlier or later
+    ``import scipy.linalg`` finds it. Falls back to ``scipy.linalg.lapack``
+    when the path finder finds no extension.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        path = _flapack_file()
-        if path is None:
+        spec = _flapack_spec()
+        if spec is None:
             from scipy.linalg import lapack as module
         else:
-            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(_FLAPACK, loader))
-            loader.exec_module(module)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
             sys.modules[_FLAPACK] = module
     return [getattr(module, name) for name in names]
 

@@ -52,10 +52,6 @@ DISPLACEMENT_TRENDS = {
 log = logging.getLogger(__name__)
 
 
-class InputError(ValueError):
-    """Anything wrong with a command's input files or flags."""
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("FINBEAM_LOG_LEVEL", "WARNING").upper()
     known = {"CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG", "NOTSET"}
@@ -66,7 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # InputError, ModelError and json.JSONDecodeError are ValueErrors
+    # ModelError and json.JSONDecodeError are ValueErrors
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -132,11 +128,13 @@ def _cmd_generate(args) -> int:
 def _load_vector_from_file(structure, data):
     entries = known_keys("load file", data, LOAD_KEYS).get("forces", [])
     if not isinstance(entries, list):
-        raise InputError(f"forces must be a list, got {entries!r}")
+        raise ValueError(f"forces must be a list, got {entries!r}")
     forces = {}
     for index, entry in enumerate(entries):
         entry = _numbers(f"forces[{index}]", entry, FORCE_KEYS,
                          integers=("node",))
+        if "node" not in entry:
+            raise ValueError(f"forces[{index}]: missing key 'node'")
         node = entry["node"]
         fx, fy, m = (float(entry.get(key, 0.0)) for key in ("fx", "fy", "m"))
         prev = forces.get(node, (0.0, 0.0, 0.0))
@@ -192,33 +190,33 @@ class SweepSpec:
 def _parse_sweep_spec(data) -> SweepSpec:
     axis = known_keys("sweep", data, SWEEP_KEYS).get("axis")
     if axis not in SWEEP_AXES:
-        raise InputError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(_list("values", data.get("values")))
     if axis in ("top_angle", "inclination"):
         values = tuple(typed("values", v, float) for v in values)
     magnitudes = tuple(typed("load_magnitudes", m, float) for m in
                        _list("load_magnitudes", data.get("load_magnitudes")))
     if any(m <= 0 for m in magnitudes) or list(magnitudes) != sorted(magnitudes):
-        raise InputError("load_magnitudes must be positive and ascending")
+        raise ValueError("load_magnitudes must be positive and ascending")
     base = params_from_dict(data.get("base_params", {}))
     # every variant's parameters are checked here, before any solve
     contact_nodes = min(replace(base, **{axis: v}).n_contact_nodes
                         for v in values)
     rank = typed("load_node_rank", data.get("load_node_rank", 2), int)
     if not 1 <= rank <= contact_nodes:
-        raise InputError(f"load_node_rank must be in 1..{contact_nodes}, the "
+        raise ValueError(f"load_node_rank must be in 1..{contact_nodes}, the "
                          f"contact nodes of every variant, got {rank}")
     solver_cfg = SolverConfig(**known_keys("solver", data.get("solver", {}),
                                            SolverConfig.__dataclass_fields__))
     probe = dict(DEFAULT_PROBE)
     probe.update(_numbers("probe", data.get("probe", {}), DEFAULT_PROBE))
     if not (0 <= probe["f_lo"] < probe["f_hi"] and probe["resolution"] > 0):
-        raise InputError("probe needs 0 <= f_lo < f_hi and resolution > 0, "
+        raise ValueError("probe needs 0 <= f_lo < f_hi and resolution > 0, "
                          f"got {probe}")
     direction = data.get("load_direction")
     if direction is not None:
         if not isinstance(direction, list) or len(direction) != 2:
-            raise InputError(f"load_direction must be [x, y], got "
+            raise ValueError(f"load_direction must be [x, y], got "
                              f"{direction!r}")
         direction = tuple(typed("load_direction", d, float) for d in direction)
     return SweepSpec(axis, values, rank, magnitudes, base, solver_cfg, probe,
@@ -235,7 +233,7 @@ def _numbers(section: str, entries, keys, integers=()) -> dict:
 
 def _list(name: str, value) -> list:
     if not isinstance(value, list) or not value:
-        raise InputError(f"{name} must be a non-empty list, got {value!r}")
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
     return value
 
 
@@ -271,12 +269,16 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
 
 
 def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
-    """Monotonicity verdicts for the design-study properties on this axis.
+    """Monotonicity verdicts for the design-study properties on this axis,
+    taken along the axis: in ascending order of the variants' values on
+    every axis but ``connection``, whatever their order in the sweep file.
 
     Displacement trends are judged at the largest magnitude every variant
     sustained: compliance differences between variants only develop once
     the response is meaningfully nonlinear.
     """
+    if spec.axis != "connection":
+        variants = sorted(variants, key=operator.itemgetter("value"))
     trends: dict = {}
     common = [m for m in spec.load_magnitudes
               if all(m in v["loaded_node_disp"] for v in variants)]

@@ -36,16 +36,18 @@ baseline::
     (stiffer finger)                              (more compliant,
                                                    higher max force)
 
-``width`` records the nominal base width of the design family; the
-realized base width follows from height and top_angle so the top angle can
-be varied independently (a triangle of fixed base and height caps the tip
-angle near 31 degrees, well short of the design range).
+``width``, deprecated, records the nominal base width of the design
+family and changes no geometry; the realized base width follows from
+height and top_angle so the top angle can be varied independently (a
+triangle of fixed base and height caps the tip angle near 31 degrees, well
+short of the design range).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import warnings
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -121,6 +123,9 @@ class FinRayParams:
         if not finite:
             raise ValueError(f"section_b = {self.section_b} and section_h = "
                              f"{self.section_h} overflow the area or inertia")
+        if self.width != FinRayParams.width:
+            warnings.warn("FinRayParams.width changes no geometry and will "
+                          "be removed", FutureWarning, stacklevel=3)
 
     @property
     def n_contact_nodes(self) -> int:
@@ -134,9 +139,6 @@ class FinRayParams:
     @property
     def inertia(self) -> float:
         return self.section_b * self.section_h**3 / 12.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def params_from_dict(data: Mapping) -> FinRayParams:

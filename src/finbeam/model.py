@@ -164,11 +164,6 @@ class Structure:
         return 3 * node_id + COMPONENTS.index(component)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """(n_nodes, 2) reference coordinates, read-only."""
-        return _read_only([(n.x0, n.y0) for n in self.nodes])
-
-    @cached_property
     def element_dofs(self) -> np.ndarray:
         """(n_elements, 6) global DOF indices per element, read-only."""
         return _read_only(
@@ -274,20 +269,21 @@ class LoadCase:
 
 
 def build_structure(
-    nodes: Iterable[Node | tuple],
+    nodes: Iterable[tuple[int, float, float]],
     element_specs: Iterable[tuple[int, int, ElementProps]],
-    supports: SupportSet | Mapping[int, tuple[bool, bool, bool]],
+    supports: Mapping[int, tuple[bool, bool, bool]],
 ) -> Structure:
     """Validate inputs and assemble an immutable Structure.
 
-    Nodes may be given as Node instances or (id, x, y) tuples; elements as
-    (node_i, node_j, props) with reference length and orientation computed
-    from the node coordinates. Raises DuplicateNode, DanglingElement,
-    Disconnected or UnconstrainedStructure on malformed input, and
-    ModelError when every DOF is fixed or an element's EA/L0 or EI/L0 is
-    not a normal finite float; only a pin-ended element's EI/L0 is 0.
+    Nodes come as (id, x, y) tuples, elements as (node_i, node_j, props)
+    with reference length and orientation computed from the node
+    coordinates, and supports as a mapping of node id to (u, w, theta)
+    fixities. Raises DuplicateNode, DanglingElement, Disconnected or
+    UnconstrainedStructure on malformed input, and ModelError when every
+    DOF is fixed or an element's EA/L0 or EI/L0 is not a normal finite
+    float; only a pin-ended element's EI/L0 is 0.
     """
-    node_list = [n if isinstance(n, Node) else Node(*n) for n in nodes]
+    node_list = [Node(*n) for n in nodes]
     seen: set[int] = set()
     for n in node_list:
         if n.id in seen:
@@ -318,9 +314,8 @@ def build_structure(
             raise ModelError(f"element ({i}, {j}) has zero reference length")
         elements.append(Element(i, j, props, l0, math.atan2(dy, dx)))
 
-    if not isinstance(supports, SupportSet):
-        supports = SupportSet({k: tuple(bool(b) for b in v)
-                               for k, v in supports.items()})
+    supports = SupportSet({k: tuple(bool(b) for b in v)
+                           for k, v in supports.items()})
     for node_id in supports.constrained:
         if not 0 <= node_id < n_nodes:
             raise UnknownNode(f"support references missing node {node_id}")
@@ -483,8 +478,8 @@ def structure_from_dict(data: Mapping) -> Structure:
 
     known_keys("structure", data, STRUCTURE_KEYS)
     try:
-        nodes = [Node(typed("id", n["id"], int), typed("x", n["x"], float),
-                      typed("y", n["y"], float))
+        nodes = [(typed("id", n["id"], int), typed("x", n["x"], float),
+                  typed("y", n["y"], float))
                  for n in entries("nodes", NODE_KEYS)]
         specs = [(typed("i", e["i"], int), typed("j", e["j"], int),
                   ElementProps(*(typed(key, e[key], float) for key in "EAI"),

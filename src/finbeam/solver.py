@@ -103,10 +103,6 @@ class SolveResult:
         return self.cause is None
 
     @property
-    def status(self) -> str:
-        return "completed" if self.completed else "diverged"
-
-    @property
     def diverged_at(self) -> Optional[int]:
         return None if self.completed else len(self.increments) + 1
 
@@ -142,7 +138,7 @@ def solve(
     instability, sampled at the ``n_inc`` equal load levels n / n_inc (see
     _trace). Record n is the converged state at level n.
 
-    The solve ends with status "diverged", a cause and the records before
+    The solve ends not completed, with a cause and the records before
     level ``diverged_at`` on: a converged state, the last one included,
     whose tangent is not positive definite ("indefinite") or is singular
     ("SingularMatrix"), by solve_linear's pivot tests; or, when

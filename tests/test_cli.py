@@ -84,6 +84,13 @@ class TestGenerate:
         assert "subnormal or 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deprecated_width_still_generates(self, tmp_path):
+        params = write_json(tmp_path / "p.json", {"width": 0.05})
+        out = tmp_path / "out.json"
+        with pytest.warns(FutureWarning, match="width"):
+            assert main(["generate", params, str(out)]) == 0
+        assert out.exists()
+
     def test_zero_crossbeams_valid(self, tmp_path):
         p = write_json(tmp_path / "p.json", {"n_crossbeams": 0})
         out = tmp_path / "out.json"
@@ -211,6 +218,15 @@ class TestSolve:
         assert "unknown key(s) ['f" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_force_without_node_names_the_key(self, tmp_path,
+                                              structure_file, capsys):
+        load = write_json(tmp_path / "load.json", {"forces": [{"fx": 0.3}]})
+        out = tmp_path / "out.csv"
+        assert main(["solve", structure_file, load, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: forces[0]: missing key 'node'\n")
+        assert not out.exists()
+
     def test_repeated_runs_byte_identical(self, tmp_path, structure_file):
         doc = json.loads(open(structure_file).read())
         node2 = doc["contact_nodes"][1]
@@ -296,8 +312,9 @@ class TestSweep:
         assert summary["trends"]["max_force_ascending"] is True
 
     @pytest.mark.parametrize("axis, values, probe, ascending", [
-        # 2 crossbeams collapse below 1.0 N, 3 hold to 1.28 N
-        ("n_crossbeams", [3, 2], {"f_lo": 1.0}, False),
+        # 2 crossbeams collapse below 1.0 N, 3 hold to 1.28 N, in either
+        # order of the file
+        ("n_crossbeams", [3, 2], {"f_lo": 1.0}, True),
         ("n_crossbeams", [2, 3], {"f_lo": 1.0}, True),
         # top angle 30's probe ends at the refinement bound
         ("top_angle", [20.0, 30.0], {"resolution": 1e-9}, False),
@@ -324,6 +341,28 @@ class TestSweep:
         trend = ("rigid_max_force_exceeds_simple" if axis == "connection"
                  else "max_force_ascending")
         assert summary["trends"][trend] is ascending
+
+    @pytest.mark.parametrize("axis, ascending, shuffled", [
+        ("n_crossbeams", [2, 3, 4], [4, 3, 2]),
+        ("top_angle", [20.0, 25.0, 30.0], [30.0, 20.0, 25.0]),
+    ], ids=["n_crossbeams", "top_angle"])
+    def test_trends_follow_the_axis_not_the_file(self, tmp_path, axis,
+                                                 ascending, shuffled):
+        summaries = []
+        for values in (ascending, shuffled):
+            data = {"axis": axis, "values": values, "load_magnitudes": [0.2],
+                    "load_direction": TILTED}
+            spec = write_json(tmp_path / "sweep.json", data)
+            out = tmp_path / "report.csv"
+            assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+            summaries.append(
+                json.loads((tmp_path / "report.summary.json").read_text()))
+        first, second = summaries
+        assert len(first["trends"]) == 2
+        assert all(v is True for v in first["trends"].values())
+        assert second["trends"] == first["trends"]
+        # the variants keep the file's order
+        assert [v["value"] for v in second["variants"]] == shuffled
 
     def test_no_row_past_the_probed_force_reads_converged(self, tmp_path):
         # force control completed top angle 30 at 3.5 N in 10 steps on

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,10 +58,17 @@ class TestParams:
         p = FinRayParams(n_crossbeams=np.int64(4), top_angle=np.float64(30.0))
         assert len(generate(p).contact_nodes) == p.n_contact_nodes == 5
 
+    def test_non_default_width_is_deprecated(self):
+        with pytest.warns(FutureWarning, match="width changes no geometry"):
+            wide = FinRayParams(width=50e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FinRayParams() == dataclasses.replace(wide, width=40e-3)
+
     def test_json_round_trip(self):
         p = FinRayParams(n_crossbeams=4, inclination=-10.0,
                          connection="simple")
-        assert params_from_dict(p.to_dict()) == p
+        assert params_from_dict(dataclasses.asdict(p)) == p
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

