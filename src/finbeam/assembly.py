@@ -15,8 +15,10 @@ update_member_data). Every vector of an element's force and tangent is
 linear in x = (1, c, s, c/L, s/L), with (c, s) the chord's direction
 cosines and L its length, so F_int is six weights per element times
 Q_BASIS and the tangent 15 features (a coefficient times x_i x_j) times
-K_BASIS, both fixed at import. K is assembled straight into the lower
-band of its free DOFs, in reverse Cuthill-McKee order, and factorised:
+K_BASIS, both fixed at import. The tangent is symmetric, so only its 21
+distinct entries (a, b), a <= b, are computed, by the a <= b columns of
+K_BASIS, and each is added once into the lower band of K's free DOFs, in
+reverse Cuthill-McKee order. K is then factorised:
 by Cholesky when it is positive definite, otherwise by LU with partial
 pivoting; whether Cholesky succeeds is the stability audit. The kernels
 follow the caller's np.errstate on an overflowing or non-finite state.
@@ -33,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .model import FreeBand, Structure
+from .model import PACKED_ENTRIES, FreeBand, Structure
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -92,7 +94,7 @@ def _wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi] in place and return them. fmod is exact,
     and so is the single shift by tau that follows (the operands are within
     a factor of two of each other); angles inside (-pi, pi) skip both."""
-    if np.abs(angles).max(initial=0.0) < math.pi:
+    if np.maximum.reduce(np.abs(angles), axis=None, initial=0.0) < math.pi:
         return angles
     np.fmod(angles, math.tau, out=angles)
     angles[angles > math.pi] -= math.tau
@@ -146,6 +148,12 @@ def _tangent_basis() -> tuple[np.ndarray, np.ndarray]:
 
 
 _FEATURE_ROWS, K_BASIS = _tangent_basis()
+# the a <= b columns of K_BASIS, in the order of PACKED_ENTRIES, and at
+# each entry (a, b) of a 6x6 tangent the index of (min(a, b), max(a, b))
+# among them
+_K_PACKED = K_BASIS[:, np.ravel_multi_index(PACKED_ENTRIES, (6, 6))]
+_UNPACK = np.empty((6, 6), dtype=np.intp)
+_UNPACK[PACKED_ENTRIES] = _UNPACK[PACKED_ENTRIES[::-1]] = np.arange(21)
 
 
 def current_geometry(
@@ -227,14 +235,25 @@ def element_tangent_stiffness(rows: np.ndarray) -> np.ndarray:
 
     a bilinear form in x = (1, c, s, c/L, s/L): (n_elements, 15) features,
     each a coefficient times x_i x_j, times the (15, 36) symmetric patterns
-    of K_BASIS (see _tangent_basis). Pin-ended elements have EI/L0 = 0 and
-    M1 = M2 = 0. An overflowed feature gives a non-finite k.
+    of K_BASIS (see _tangent_basis). Each k is the 21 distinct entries of
+    _packed_tangents, each copied to (a, b) and (b, a), so it is symmetric
+    bit for bit. Pin-ended elements have EI/L0 = 0 and M1 = M2 = 0. An
+    overflowed feature gives a non-finite k.
     """
+    return _packed_tangents(rows)[:, _UNPACK]
+
+
+def _packed_tangents(rows: np.ndarray) -> np.ndarray:
+    """(n_elements, 21) distinct entries (a, b), a <= b, of every element
+    tangent in the order of PACKED_ENTRIES: the (n_elements, 15) features
+    times _K_PACKED, the a <= b columns of K_BASIS (see
+    element_tangent_stiffness)."""
     # half the cost of rows[_FEATURE_ROWS]
     factors = rows.take(_FEATURE_ROWS, axis=0)
     features = factors[0] * factors[1]
     features *= factors[2]
-    return (features.T @ K_BASIS).reshape(rows.shape[1], 6, 6)
+    # np.dot dispatches a 2-D product faster than @, with the same result
+    return np.dot(features.T, _K_PACKED)
 
 
 def assemble_tangent(structure: Structure, rows: np.ndarray) -> np.ndarray:
@@ -242,17 +261,19 @@ def assemble_tangent(structure: Structure, rows: np.ndarray) -> np.ndarray:
     (see update_member_data), in LAPACK's lower band storage,
     (bandwidth + 1, n_free) in band order (see Structure.free_band).
 
-    Every element's tangent from ``element_tangent_stiffness`` is
-    scatter-added straight into its band slots in element order, so the
-    summation order and the result are deterministic. The fixed DOFs'
+    The 21 distinct entries of every element's tangent (the entries of
+    ``element_tangent_stiffness`` with a <= b) are scatter-added straight
+    into their band slots (see FreeBand) in element order, each once, so
+    the summation order and the result are deterministic. The fixed DOFs'
     rows and columns are left out, so supports need no zero-and-one rows;
     the slots past the matrix, which LAPACK does not read, hold 0.
     """
     band = structure.free_band
     n_free = len(band.order)
     size = (band.bandwidth + 1) * n_free
-    k_el = element_tangent_stiffness(rows)
-    slots = np.bincount(band.slots, weights=k_el.ravel(), minlength=size + 1)
+    k_packed = _packed_tangents(rows)
+    slots = np.bincount(band.slots, weights=k_packed.ravel(),
+                        minlength=size + 1)
     return slots[:size].reshape(n_free, -1).T
 
 
@@ -286,11 +307,12 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """
     factor, x, info = dpbsv(band, rhs, lower=1)
     if info == 0:
-        diagonal = factor[0]
+        lowest = np.minimum.reduce(factor[0])
+        highest = np.maximum.reduce(factor[0])
         # a NaN fails the comparison
-        if diagonal.min() >= _SINGULAR_CHOLESKY_RATIO * diagonal.max():
+        if lowest >= _SINGULAR_CHOLESKY_RATIO * highest:
             return x, True
-        ratio = (diagonal.min() / diagonal.max()) ** 2
+        ratio = (lowest / highest) ** 2
     else:
         # LAPACK's general band storage: K[i, j] in row 2 bw + i - j, the
         # bw rows above it left for the fill-in of the row exchanges
@@ -301,7 +323,8 @@ def solve_linear(band: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
             general[2 * bandwidth - r, r:] = band[r, :n - r]
         lu, _, x, info = dgbsv(bandwidth, bandwidth, general, rhs)
         pivots = np.abs(lu[2 * bandwidth])
-        ratio = pivots.min() / pivots.max() if info == 0 else 0.0
+        ratio = (np.minimum.reduce(pivots) / np.maximum.reduce(pivots)
+                 if info == 0 else 0.0)
         if ratio >= SINGULAR_PIVOT_RATIO:
             return x, False
     raise SingularMatrix(

@@ -196,12 +196,17 @@ def _parse_sweep_spec(data) -> SweepSpec:
         values = tuple(typed("values", v, float) for v in values)
     magnitudes = tuple(typed("load_magnitudes", m, float) for m in
                        _list("load_magnitudes", data.get("load_magnitudes")))
-    if any(m <= 0 for m in magnitudes) or list(magnitudes) != sorted(magnitudes):
-        raise ValueError("load_magnitudes must be positive and ascending")
+    if magnitudes[0] <= 0 or any(a >= b for a, b in
+                                 zip(magnitudes, magnitudes[1:])):
+        raise ValueError("load_magnitudes must be positive and strictly "
+                         f"ascending, got {list(magnitudes)}")
     base = params_from_dict(data.get("base_params", {}))
     # every variant's parameters are checked here, before any solve
     contact_nodes = min(replace(base, **{axis: v}).n_contact_nodes
                         for v in values)
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"values must be distinct, got {value!r} twice")
     rank = typed("load_node_rank", data.get("load_node_rank", 2), int)
     if not 1 <= rank <= contact_nodes:
         raise ValueError(f"load_node_rank must be in 1..{contact_nodes}, the "

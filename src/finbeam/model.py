@@ -116,6 +116,11 @@ class SupportSet:
                            if fixed], np.intp)
 
 
+# the (a, b) of the 21 distinct entries of an element's symmetric 6x6
+# tangent, a <= b, row by row in element-local order
+PACKED_ENTRIES = np.triu_indices(6)
+
+
 @dataclass(frozen=True)
 class FreeBand:
     """The free DOFs in band order and where each element's tangent entries
@@ -125,12 +130,14 @@ class FreeBand:
       Cuthill-McKee order; row and column j of the band system is global
       DOF ``order[j]``;
     - ``bandwidth``: the number of sub-diagonals of that system;
-    - ``slots``: (n_elements * 36,) for each element's 6x6 tangent, in
-      element order, the flat index of its entry's slot in LAPACK's lower
-      band storage, (bandwidth + 1, n_free) in Fortran order: entry (a, b)
-      at band positions (j + r, j) goes to slot j * (bandwidth + 1) + r.
-      Entries above the diagonal or on a fixed DOF go to the one discard
-      slot (bandwidth + 1) * n_free, past the band.
+    - ``slots``: (n_elements * 21,) for the 21 distinct entries (a, b),
+      a <= b, of each element's symmetric 6x6 tangent (PACKED_ENTRIES), in
+      element order, the flat index of its slot in LAPACK's lower band
+      storage, (bandwidth + 1, n_free) in Fortran order: the entry goes to
+      whichever of (a, b) and (b, a) lies in the lower band, and at band
+      position (j + r, j) that is slot j * (bandwidth + 1) + r. Entries on
+      a fixed DOF go to the one discard slot (bandwidth + 1) * n_free,
+      past the band.
 
     Both arrays are read-only.
     """
@@ -234,7 +241,7 @@ class Structure:
     @cached_property
     def free_band(self) -> FreeBand:
         """The free DOFs in reverse Cuthill-McKee node order and the band
-        slots of every element's tangent entries (see FreeBand)."""
+        slots of every element's distinct tangent entries (see FreeBand)."""
         free = np.ones(self.n_dof, dtype=bool)
         free[self.supports.dofs] = False
         has_free = free.reshape(-1, 3).any(axis=1).tolist()
@@ -252,8 +259,9 @@ class Structure:
         lowest = np.where(spread >= 0, spread, n_free).min(axis=1)
         bandwidth = int(np.max(spread.max(axis=1) - lowest, initial=0))
 
-        row, column = spread[:, :, None], spread[:, None, :]
-        slots = np.where((column >= 0) & (row >= column),
+        a, b = spread[:, PACKED_ENTRIES[0]], spread[:, PACKED_ENTRIES[1]]
+        row, column = np.maximum(a, b), np.minimum(a, b)
+        slots = np.where(column >= 0,
                          column * (bandwidth + 1) + row - column,
                          (bandwidth + 1) * n_free).ravel()
         order.setflags(write=False)

@@ -475,6 +475,27 @@ def test_tangent_basis_rows_are_symmetric():
     assert np.all(patterns.any(axis=(1, 2)))
 
 
+def test_packed_basis_is_the_upper_triangle_of_k_basis():
+    # the 21 columns (a, b), a <= b, of K_BASIS, row by row
+    upper = [6 * a + b for a in range(6) for b in range(a, 6)]
+    assert np.array_equal(assembly._K_PACKED, K_BASIS[:, upper])
+
+
+@pytest.mark.parametrize("name", STUDY_FINGERS)
+def test_element_tangents_are_the_full_product_and_symmetric(rng, name):
+    # the 21 packed columns, unpacked, equal the 36-column product of
+    # K_BASIS bit for bit, so the band keeps its sums; each k is symmetric
+    s = generate(STUDY_FINGERS[name]).structure
+    u = rng.uniform(-2e-3, 2e-3, size=s.n_dof)
+    u[2::3] *= 100.0
+    rows, _ = update_member_data(s, u)
+    k = assembly.element_tangent_stiffness(rows)
+    assert np.array_equal(k, k.transpose(0, 2, 1))
+    factors = rows[assembly._FEATURE_ROWS]
+    features = factors[0] * factors[1] * factors[2]
+    assert np.array_equal(k.reshape(-1, 36), features.T @ K_BASIS)
+
+
 def test_one_implementation_per_kernel():
     # one version of each kernel: the solver calls the public ones, which
     # follow the caller's np.errstate

@@ -544,6 +544,30 @@ class TestSweep:
         spec = write_json(tmp_path / "sweep.json", data)
         assert main(["sweep", spec, str(tmp_path / "r.csv")]) == 2
 
+    @pytest.mark.parametrize("magnitudes", [[0.2, 0.2], [0.2, 0.4, 0.4]])
+    def test_repeated_magnitudes_exit_2(self, tmp_path, capsys, magnitudes):
+        data = sweep_spec(values=(3,))
+        data["load_magnitudes"] = magnitudes
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "r.csv"
+        assert main(["sweep", spec, str(out)]) == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("top_angle", [20, 20.0, 25], "20.0"),
+        ("n_crossbeams", [2, 2], "2"),
+        ("connection", ["simple", "rigid", "simple"], "'simple'")])
+    def test_repeated_values_exit_2(self, tmp_path, capsys, axis, values,
+                                    repeated):
+        data = {**sweep_spec(), "axis": axis, "values": values}
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "r.csv"
+        assert main(["sweep", spec, str(out), "--probe-max-force"]) == 2
+        assert (f"values must be distinct, got {repeated} twice"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, document", [
     ("generate", {"n_crossbeams": "3"}),

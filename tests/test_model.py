@@ -390,24 +390,45 @@ def test_band_holds_every_element_coupling(name):
     assert free.bandwidth == (8 if name == "connection=simple" else 11)
 
 
+@pytest.mark.parametrize("structure", [
+    *(generate(p).structure for p in STUDY_FINGERS.values()),
+    split_by_a_fixed_node()], ids=[*STUDY_FINGERS, "split"])
+def test_each_element_adds_each_free_coupling_once(structure):
+    # an element's 21 distinct tangent entries go to distinct slots, apart
+    # from the discard slot, and fill every lower-band coupling of its
+    # free DOFs
+    free = structure.free_band
+    discard = (free.bandwidth + 1) * len(free.order)
+    position = {dof: j for j, dof in enumerate(free.order.tolist())}
+    slots = free.slots.reshape(-1, 21).tolist()
+    assert len(slots) == len(structure.elements)
+    for dofs, element_slots in zip(structure.element_dofs.tolist(), slots):
+        inside = [position[d] for d in dofs if d in position]
+        couplings = {j * (free.bandwidth + 1) + i - j
+                     for i in inside for j in inside if i >= j}
+        kept = [slot for slot in element_slots if slot != discard]
+        assert len(kept) == len(set(kept))
+        assert set(kept) == couplings
+
+
 # sha256 of each free band's (order, bandwidth, slots). The band order sets
 # the summation order, and so the roundoff, of every factor and solve; the
 # angle variants share the default finger's mesh graph.
 DEFAULT_BAND = {
-    4: "23e63c59101546347be101452f454d40f3bbb4b675dbab1c6c8fd957607c4059",
-    12: "c52b59912e2f3d08cc7823086b1d343ff1211fa799b6a135c80a8c19a0d969dc"}
+    4: "924676c04a199ad8037fcc6eb7e46cce71a994ff1fdc7a19fb1666e65064047b",
+    12: "d167a43508291bd2ffe664a4ffe94093b778936a7b2c9dddfae6495b44521190"}
 BAND_DIGESTS = {
     "n_crossbeams=2": {
-        4: "6d05578dea26d1875a4adee8c8c6f784aa8eafc1deaef9558b13740dd3e151d0",
-        12: "cfcfda0a294809cff9691b20b4f8761b4e1398b4d0d2d4ae8076e16027a95a19"},
+        4: "fe79b6b0bed047571221a4056ecb40de9a4574b1d3f71add75f70a93f066edaa",
+        12: "9b1f07d162c9cd284bb409c538585f5c076d01cadc50794338a77393d9527e42"},
     "n_crossbeams=4": {
-        4: "6444a1a73957f27229bd5c5b70e1f3a67c7c6403326f31a85aeddffd4057bb89",
-        12: "5b0696b1c27b93b8ceabc772f7ecf3bb08bf16d5fdb6e0e5678c80a70d02edcc"},
+        4: "5f00207f9c696dd350c0d25bb1261e3d9a9b9eae737e8931b2b7bbb2ddf6248e",
+        12: "9915577e79c8d1926f98035db9baad5f7822311fa9a6c4024e96407e1601b82e"},
     "connection=simple": {
-        4: "088091883c3fd1d55bda10d84975255d4821e2d5e021a79c77e051e138645475",
-        12: "02d28876a4558b6c41bc6545511d87bad98d09ddccb51952eda2bc76a47773cc"},
+        4: "d39599cf2e6601c619d4fb98fc8dd175803838191dbb7913b177fa181eacfa19",
+        12: "f858fbc9d6dd0b2dc6adeca7e445eba85db9f12d61b928060879efc3d395f215"},
 }
-SPLIT_BAND = "42e948498bcf4aba108ea155d7820c24fee138f5ba3d952eb8752e04a9ef8ad9"
+SPLIT_BAND = "d31aaefb0d102693f802b8d955db7f75aa2754a46246f26c1482dd86520c0a5b"
 
 
 def band_digest(structure):
