@@ -136,7 +136,7 @@ def _load_vector_from_file(structure, data):
         if "node" not in entry:
             raise ValueError(f"forces[{index}]: missing key 'node'")
         node = entry["node"]
-        fx, fy, m = (float(entry.get(key, 0.0)) for key in ("fx", "fy", "m"))
+        fx, fy, m = (entry.get(key, 0.0) for key in ("fx", "fy", "m"))
         prev = forces.get(node, (0.0, 0.0, 0.0))
         forces[node] = (prev[0] + fx, prev[1] + fy, prev[2] + m)
     return load_case(structure, forces)
@@ -229,11 +229,11 @@ def _parse_sweep_spec(data) -> SweepSpec:
 
 
 def _numbers(section: str, entries, keys, integers=()) -> dict:
-    """A section of the given keys whose values are numbers, integers under
-    the keys in ``integers``."""
-    for key, value in known_keys(section, entries, keys).items():
-        typed(f"{section}.{key}", value, int if key in integers else float)
-    return entries
+    """A section of the given keys whose values are numbers, as ints under
+    the keys in ``integers`` and floats under the others."""
+    return {key: typed(f"{section}.{key}", value,
+                       int if key in integers else float)
+            for key, value in known_keys(section, entries, keys).items()}
 
 
 def _list(name: str, value) -> list:

@@ -60,6 +60,7 @@ from .model import (
     known_keys,
     load_case,
     structure_to_dict,
+    typed,
     typed_fields,
 )
 
@@ -255,9 +256,10 @@ def load_at_contact_node(
 ) -> LoadCase:
     """Concentrated force at the rank-th contact node (1-based, base first).
 
-    ``direction`` is an (x, y) vector, normalised internally; by default
-    the force acts along the inward normal of the undeformed front fin,
-    pressing the contact face toward the finger body.
+    ``direction`` is an (x, y) vector of two finite numbers, normalised
+    internally; by default the force acts along the inward normal of the
+    undeformed front fin, pressing the contact face toward the finger
+    body. Raises ValueError when it is not two numbers or is zero.
     """
     if not 1 <= node_rank <= len(model.contact_nodes):
         raise UnknownContactNode(
@@ -272,7 +274,11 @@ def load_at_contact_node(
         # rotate the fin tangent by -90 degrees: the body lies on that side
         dx, dy = ty, -tx
     else:
-        dx, dy = float(direction[0]), float(direction[1])
+        direction = tuple(direction)
+        if len(direction) != 2:
+            raise ValueError(f"load direction must be (x, y), got "
+                             f"{direction!r}")
+        dx, dy = (typed("direction", d, float) for d in direction)
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ValueError("load direction must be a nonzero vector")

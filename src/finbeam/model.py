@@ -227,18 +227,6 @@ class Structure:
         return _read_only(rows)
 
     @cached_property
-    def unloaded(self) -> tuple:
-        """(f_int, tangent) at zero displacement, where every solve and probe
-        starts: the internal force of update_member_data and the free-DOF
-        band of assemble_tangent, both read-only."""
-        from .assembly import assemble_tangent, update_member_data
-        rows, f_int = update_member_data(self, np.zeros(self.n_dof))
-        tangent = assemble_tangent(self, rows)
-        for arr in (f_int, tangent):
-            arr.setflags(write=False)
-        return f_int, tangent
-
-    @cached_property
     def free_band(self) -> FreeBand:
         """The free DOFs in reverse Cuthill-McKee node order and the band
         slots of every element's distinct tangent entries (see FreeBand)."""
@@ -536,10 +524,12 @@ def typed(name: str, value, kind: type):
 
 
 def typed_fields(instance, positive: Sequence[str] = ()) -> None:
-    """typed on each dataclass field, of the kind its annotation text names;
+    """Store each dataclass field as typed returns it, of the kind its
+    annotation text names, so that 2e7 and 20000000 make equal instances;
     then ValueError when a field named in ``positive`` is not above 0."""
     for field in fields(instance):
-        typed(field.name, getattr(instance, field.name), _BY_NAME[field.type])
+        object.__setattr__(instance, field.name, typed(
+            field.name, getattr(instance, field.name), _BY_NAME[field.type]))
     for name in positive:
         if not getattr(instance, name) > 0:
             raise ValueError(

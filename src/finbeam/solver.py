@@ -266,8 +266,10 @@ def _trace(
     cylindrical arc length, landing exactly on each of the ascending load
     factors ``levels``.
 
-    Each converged state's tangent is factored once: whether it is
-    positive definite audits the state and x_f = K^-1 f_ref is the next
+    Every state, the unloaded one (u = 0, lam = 0) included, is evaluated
+    by this module's update_member_data and residual, and its tangent is
+    assembled and factored once, at the top of the step loop: whether it
+    is positive definite audits the state and x_f = K^-1 f_ref is the next
     predictor's direction, du = d x_f. An arc step takes d = arc / ||x_f||,
     the first arc min(ARC_FIRST_STEP, levels[0]) ||x_f||. A step that would
     reach or pass the next level is a fixed-load step to it instead, which
@@ -289,16 +291,17 @@ def _trace(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f_free = apply_supports(f_ref, structure.free_band)
-        f_int, k_s = structure.unloaded
         u, lam = np.zeros(structure.n_dof), 0.0
-        r_vec, _ = residual(f_int, 0.0 * f_ref, structure.supports)
+        rows, f_int = update_member_data(structure, u)
+        r_vec, _ = residual(f_int, lam * f_ref, structure.supports)
         records: list[IncrementRecord] = []
         good = None
         landed = refining = False
         cuts = spent = refined = 0
         while True:
             try:
-                x_f, positive_definite = solve_linear(k_s, f_free)
+                x_f, positive_definite = solve_linear(
+                    assemble_tangent(structure, rows), f_free)
                 cause = None if positive_definite else "indefinite"
             except SingularMatrix:
                 cause = "SingularMatrix"
@@ -361,7 +364,6 @@ def _trace(
                 spent += budget
                 arc *= 0.5
             spent += iterations
-            k_s = assemble_tangent(structure, rows)
 
 
 def _carried(state: _PathState, f_ref: np.ndarray) -> float:

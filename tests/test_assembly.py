@@ -566,10 +566,15 @@ def fresh_python(*args, **run_kwargs):
                           **{"check": True, **run_kwargs})
 
 
+# scipy's LAPACK extension is the one scipy module finbeam loads: the
+# package inits of scipy.linalg, scipy.sparse or scipy.sparse.csgraph would
+# each cost more than the rest of the start-up
 NO_SCIPY_LINALG = """
 import sys
 for name in ("scipy.linalg", "numpy.testing"):
     assert name not in sys.modules, name
+scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert scipy == ["scipy.linalg._flapack"], scipy
 """
 SAME_ROUTINES = """
 import scipy.linalg.lapack

@@ -99,6 +99,21 @@ class TestGenerate:
         assert len(doc["contact_nodes"]) == 1
 
 
+    def test_integer_spellings_write_the_same_bytes(self, tmp_path):
+        # each parameter is stored as its field's type, so an integer
+        # spelling of a float no longer writes "E": 20000000
+        written = []
+        for name, params in (
+                ("int", {"e_modulus": 20000000, "top_angle": 30}),
+                ("float", {"e_modulus": 2e7, "top_angle": 30.0})):
+            out = tmp_path / f"{name}.json"
+            assert main(["generate", write_json(tmp_path / f"{name}-p.json",
+                                                params), str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert b'"E": 20000000.0,' in written[0]
+
+
 class TestSolve:
     def test_zero_load_writes_zero_csv(self, tmp_path, structure_file):
         load = write_json(tmp_path / "load.json", {"forces": []})
@@ -276,6 +291,24 @@ class TestSweep:
         rows = read_csv(out)
         # one row per variant x magnitude x contact node: 3 + 4 nodes
         assert len(rows) == 2 * (3 + 4)
+
+    def test_integer_spellings_write_the_same_bytes(self, tmp_path):
+        # the probe bracket is read as floats: its error once read
+        # "f_hi = 4" for "f_hi": 4 and "f_hi = 4.0" for 4.0
+        written = []
+        for name, number in (("int", int), ("float", float)):
+            data = {"axis": "top_angle", "values": [number(20), number(40)],
+                    "load_magnitudes": [number(1)], "load_direction": TILTED,
+                    "probe": {"f_lo": number(1), "f_hi": number(4),
+                              "resolution": number(1)}}
+            spec = write_json(tmp_path / f"{name}.json", data)
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", spec, str(out), "--probe-max-force"]) == 0
+            written.append((out.read_bytes(),
+                            (tmp_path / f"{name}.summary.json").read_bytes()))
+        assert written[0] == written[1]
+        top40 = json.loads(written[0][1])["variants"][1]
+        assert top40["probe_error"] == "structure still holds at f_hi = 4.0"
 
     def test_probe_rigid_connection_outlasts_simple(self, tmp_path):
         data = sweep_spec(values=("simple", "rigid"), probe_hi=4.0)

@@ -193,6 +193,15 @@ class TestLoadAtContactNode:
         with pytest.raises(ValueError, match="nonzero vector"):
             load_at_contact_node(model, 1, 2.0, direction=(0.0, 0.0))
 
+    @pytest.mark.parametrize("direction", [
+        (1.0, 0.0, 5.0), (1.0,), (1.0, "0"), (True, 0.0), (math.inf, 1.0)])
+    def test_direction_must_be_two_finite_numbers(self, direction):
+        # (1, 0, 5) once loaded along (1, 0), (1,) raised IndexError and
+        # "0" was read as 0.0
+        model = generate(FinRayParams())
+        with pytest.raises(ValueError, match="direction must be"):
+            load_at_contact_node(model, 1, 2.0, direction=direction)
+
     def test_custom_direction_normalised(self):
         model = generate(FinRayParams())
         case = load_at_contact_node(model, 1, 2.0, direction=(3.0, -4.0))

@@ -19,14 +19,12 @@ from finbeam import (
     SupportSet,
     UnconstrainedStructure,
     UnknownNode,
-    assemble_tangent,
     build_structure,
     generate,
     load_case,
     make_load_case,
     structure_from_dict,
     structure_to_dict,
-    update_member_data,
 )
 from conftest import STUDY_FINGERS
 
@@ -366,13 +364,7 @@ def test_per_structure_constants(name):
     assert np.array_equal(template[:3], [ea_l0, ei_l0, ei_l0])
     assert np.all(template[5] == 1.0)
     assert not template[[3, 4, 6, 7, 8, 9]].any()
-    f_int, tangent = structure.unloaded
-    fresh_state, fresh_f_int = update_member_data(
-        structure, np.zeros(structure.n_dof))
-    assert np.array_equal(f_int, fresh_f_int)
-    assert np.array_equal(tangent, assemble_tangent(structure, fresh_state))
-    for arr in (rows, structure.element_min_length, template, f_int,
-                tangent):
+    for arr in (rows, structure.element_min_length, template):
         assert not arr.flags.writeable
 
 

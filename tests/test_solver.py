@@ -28,6 +28,8 @@ from finbeam import (
     probe_max_force,
     residual,
     solve,
+    structure_from_dict,
+    structure_to_dict,
     trace_loads,
     update_member_data,
 )
@@ -711,8 +713,10 @@ def _escape(*args):
     raise Escaped
 
 
-def _degenerate(*args):
-    raise DegenerateElement("element 0 has (nearly) coincident nodes")
+def _degenerate(structure, u):
+    if np.any(u):
+        raise DegenerateElement("element 0 has (nearly) coincident nodes")
+    return update_member_data(structure, u)
 
 
 @pytest.mark.parametrize("ending", [
@@ -729,8 +733,8 @@ def test_solve_restores_the_floating_point_error_state(ending, monkeypatch):
     else:
         s = one_element_frame(1.0)
     if ending == "DegenerateElement":
-        # every trial state collapses an element, so every step and every
-        # halving of it fails
+        # every displaced trial state collapses an element, so every step
+        # and every halving of it fails
         monkeypatch.setattr(finbeam.solver, "update_member_data", _degenerate)
     if ending == "raised":
         monkeypatch.setattr(finbeam.solver, "solve_linear", _escape)
@@ -841,3 +845,53 @@ def test_never_completed_with_a_non_finite_state(
         _, f_int = update_member_data(structure, result.final_displacement)
         _, r_norm = residual(f_int, case.f_total, structure.supports)
         assert r_norm <= config.tolerance
+
+
+def _rotated(structure, pattern, degrees):
+    """A structure and a nodal load pattern turned by ``degrees`` about the
+    origin, through the structure document."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    doc = structure_to_dict(structure)
+    for node in doc["nodes"]:
+        node["x"], node["y"] = (c * node["x"] - s * node["y"],
+                                s * node["x"] + c * node["y"])
+    fx, fy, m = pattern.reshape(-1, 3).T
+    turned = np.column_stack((c * fx - s * fy, s * fx + c * fy, m)).ravel()
+    return structure_from_dict(doc), turned
+
+
+# Relative bound on the similarity and frame laws below. They hold exactly
+# in exact arithmetic: scaling E with the bracket, resolution and tolerance
+# scales every residual and its test alike, and a rotated frame has the
+# same local deformations. In floats the scaled and rotated inputs round
+# differently, which moved the answers by at most 3.2e-12 relative on
+# these fingers. 1e-9 leaves that roundoff room to grow 300-fold and lies
+# far below the tolerance (1e-3 N) and the resolution (0.05 N), the scales
+# on which a step or convergence decision that went the other way would
+# move the answer.
+SIMILARITY_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("name", ["n_crossbeams=2", "default",
+                                  "top_angle=30", "connection=simple"])
+def test_probe_obeys_the_modulus_similarity_and_frame_invariance(name):
+    def probe(params, scale=1.0, degrees=None):
+        model = generate(params)
+        structure = model.structure
+        pattern = load_at_contact_node(model, 2, 1.0,
+                                       direction=STUDY_DIRECTION).f_total
+        if degrees is not None:
+            structure, pattern = _rotated(structure, pattern, degrees)
+        return probe_max_force(structure, pattern,
+                               SolverConfig(tolerance=1e-3 * scale),
+                               0.05 * scale, 4.0 * scale, 0.05 * scale)
+
+    params = STUDY_FINGERS[name]
+    force = probe(params)
+    assert 0.05 < force < 4.0
+    stiffer = dataclasses.replace(params, e_modulus=10 * params.e_modulus)
+    assert probe(stiffer, scale=10.0) == pytest.approx(
+        10 * force, rel=SIMILARITY_RTOL, abs=0)
+    for degrees in (90.0, 200.0):
+        assert probe(params, degrees=degrees) == pytest.approx(
+            force, rel=SIMILARITY_RTOL, abs=0)
