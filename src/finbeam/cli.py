@@ -28,8 +28,7 @@ from .finray import (
     params_from_dict,
 )
 from .model import known_keys, load_case, structure_from_dict, typed
-# probe_max_force is unused here, but bench/tracer.py wraps
-# finbeam.cli.probe_max_force
+# unused here, but bench/tracer.py wraps finbeam.cli.probe_max_force
 from .solver import SolverConfig, probe_max_force, solve, trace_loads
 
 EXIT_OK = 0
@@ -196,10 +195,6 @@ def _parse_sweep_spec(data) -> SweepSpec:
         values = tuple(typed("values", v, float) for v in values)
     magnitudes = tuple(typed("load_magnitudes", m, float) for m in
                        _list("load_magnitudes", data.get("load_magnitudes")))
-    if magnitudes[0] <= 0 or any(a >= b for a, b in
-                                 zip(magnitudes, magnitudes[1:])):
-        raise ValueError("load_magnitudes must be positive and strictly "
-                         f"ascending, got {list(magnitudes)}")
     base = params_from_dict(data.get("base_params", {}))
     # every variant's parameters are checked here, before any solve
     contact_nodes = min(replace(base, **{axis: v}).n_contact_nodes
@@ -252,11 +247,12 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
     pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
                                    direction=spec.load_direction).f_total
     bracket = tuple(spec.probe[k] for k in DEFAULT_PROBE) if do_probe else None
-    records, force, probe_error = trace_loads(
-        model.structure, pattern, spec.load_magnitudes, spec.config, bracket)
-    if probe_error:
-        log.warning("probe for %s: %s", label, probe_error)
+    result = trace_loads(model.structure, pattern, spec.load_magnitudes,
+                         spec.config, bracket)
+    if result.error:
+        log.warning("probe for %s: %s", label, result.error)
     rows, loaded_node_disp = [], {}
+    records = result.increments + [None] * len(spec.load_magnitudes)
     for magnitude, record in zip(spec.load_magnitudes, records):
         for rank, node in enumerate(model.contact_nodes, start=1):
             u, w, theta = (record.displacement[3 * node:3 * node + 3]
@@ -267,10 +263,11 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
                 repr(float(record.iterations if record else math.nan))])
             if rank == spec.load_node_rank and record:
                 loaded_node_disp[magnitude] = math.hypot(u, w)
+    force = result.force
     finite = force is not None and math.isfinite(force)
     return {"label": label, "value": value, "rows": rows, "force": force,
             "max_allowable_force": force if finite else None,
-            "probe_error": probe_error, "loaded_node_disp": loaded_node_disp}
+            "probe_error": result.error, "loaded_node_disp": loaded_node_disp}
 
 
 def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:

@@ -12,12 +12,12 @@ whether its Cholesky factor completes, a pivot test rather than an
 eigenvalue count, audits the state, and its solve gives the next
 predictor.
 
-``solve`` samples the path at ``n_inc`` equal load levels and ends at its
-first instability, reported as data, not raised. ``trace_loads``, a design
-sweep's one path per variant, lands on given loads and on a probe's f_hi,
-refining the first instability to the probe's resolution. ``_trace``
-enters a fresh np.errstate per path that ignores overflow and invalid
-operations, which a diverging path meets in the element kernels.
+``solve`` samples the path at ``n_inc`` equal load levels, ``trace_loads``,
+a design sweep's one path per variant, at ascending loads and a probe's
+f_hi, refining the first instability to the probe's resolution. Both end
+at the first instability, reported as data in a SolveResult, not raised.
+``_trace`` enters a fresh np.errstate per path that ignores overflow and
+invalid operations, which a diverging path meets in the element kernels.
 """
 
 from __future__ import annotations
@@ -88,15 +88,18 @@ class IncrementRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Increment history plus the cause that ended the path early.
+    """The records of one traced path, the cause that ended it early and,
+    with a probe bracket, trace_loads's force and error (else None).
 
-    ``cause`` is None when every increment converged. Otherwise the path
-    ended at increment ``diverged_at``, and ``increments`` holds exactly
-    the records before it, so ``len(increments) == diverged_at - 1``.
+    Record n, ``increments[n - 1]``, is the state at the path's n-th level.
+    ``cause`` is None when every level was reached; otherwise the path
+    ended at level ``diverged_at``, so ``len(increments) == diverged_at - 1``.
     """
 
     increments: list[IncrementRecord]
     cause: Optional[str] = None
+    force: Optional[float] = None
+    error: Optional[str] = None
 
     @property
     def completed(self) -> bool:
@@ -152,9 +155,8 @@ def solve(
     """
     f_total = make_load_case(structure, load_case.f_total).f_total
     levels = [n / config.n_inc for n in range(1, config.n_inc + 1)]
-    records, cause, _ = _trace(structure, f_total, levels, config.tolerance,
-                               config.maxiter, math.inf)
-    return SolveResult(records, cause)
+    return _trace(structure, f_total, levels, config.tolerance,
+                  config.maxiter, math.inf)[0]
 
 
 def path_is_stable(result: SolveResult) -> bool:
@@ -172,11 +174,11 @@ def probe_max_force(
 ) -> float:
     """The force of trace_loads with no loads and the bracket (f_lo, f_hi,
     resolution); raises BracketInvalid with its probe error."""
-    _, force, error = trace_loads(structure, load_pattern, (), config,
-                                  (f_lo, f_hi, resolution))
-    if error:
-        raise BracketInvalid(error)
-    return force
+    result = trace_loads(structure, load_pattern, (), config,
+                         (f_lo, f_hi, resolution))
+    if result.error:
+        raise BracketInvalid(result.error)
+    return result.force
 
 
 def trace_loads(
@@ -185,27 +187,26 @@ def trace_loads(
     loads: Sequence[float],
     config: SolverConfig,
     bracket: Optional[tuple[float, float, float]] = None,
-) -> tuple[list[Optional[IncrementRecord]], Optional[float], Optional[str]]:
+) -> SolveResult:
     """Trace the path of ``lam * top * load_pattern`` (typically a unit
     force at one node) once, landing on each of ``loads`` and, with a
-    probe bracket (f_lo, f_hi, resolution), on f_hi, top the largest of
-    them (see _trace). ``config`` supplies the residual tolerance;
-    ``n_inc`` and ``maxiter`` do not step the path.
+    probe bracket (f_lo, f_hi, resolution), on f_hi unless a load reaches
+    it, top the last level (see _trace); only ``config.tolerance`` applies.
 
-    Returns the record at each of ``loads``, None past the path's end, its
-    iterations those spent since the previous level; and, with a bracket,
-    the probe's force and error, else None and None. The force is the load
-    carried by the last positive-definite state before the first
-    instability, found to within ``resolution``, or before the path ends
-    otherwise, with the error None. It is inf, with the error "structure
-    still holds at f_hi = ...", when a positive-definite state at f_hi is
-    reached; -inf, with "structure already collapses at f_lo = ...", when
-    it falls below f_lo; and None, with an error naming the resolution and
-    REFINE_MAX_STATES, when the refinement ends at that bound. Raises
-    BracketInvalid when f_lo >= f_hi, and ValueError when f_lo, f_hi or
-    resolution is not finite, resolution is not positive, or there is no
-    load or one is not positive and finite. Deterministic for fixed
-    inputs.
+    Returns a SolveResult: record n is the state at loads[n - 1], its
+    iterations those spent since the previous level, and f_hi gets none.
+    With a bracket, its force is the load carried by the last
+    positive-definite state before the first instability, found to within
+    ``resolution``, or before the path ends otherwise, with the error None.
+    It is inf, with the error "structure still holds at f_hi = ...", when a
+    positive-definite state at or past f_hi is reached; -inf, with
+    "structure already collapses at f_lo = ...", when it falls below f_lo;
+    and None, with an error naming the resolution and REFINE_MAX_STATES,
+    when the refinement ends at that bound. Raises BracketInvalid when
+    f_lo >= f_hi, and ValueError when f_lo, f_hi or resolution is not
+    finite, resolution is not positive, or the loads are empty without a
+    bracket or not positive, finite and strictly ascending. Deterministic
+    for fixed inputs.
     """
     f_lo, f_hi, resolution = bracket or (0.0, math.inf, math.inf)
     if bracket and not (all(map(math.isfinite, bracket)) and resolution > 0):
@@ -213,24 +214,26 @@ def trace_loads(
                          f"resolution positive, got {bracket}")
     if not 0 <= f_lo < f_hi:
         raise BracketInvalid(f"need 0 <= f_lo < f_hi, got [{f_lo}, {f_hi}]")
-    targets = sorted({*loads, f_hi} if bracket else {*loads})
-    if not targets or not all(0 < f < math.inf for f in targets):
-        raise ValueError(f"loads must be positive and finite, got {loads}")
+    levels = [*loads]
+    if not (levels or bracket) or not all(
+            a < b for a, b in zip([0.0, *levels], [*levels, math.inf])):
+        raise ValueError("loads must be positive, finite and strictly "
+                         f"ascending, got {loads}")
 
     pattern = np.asarray(load_pattern, dtype=float)
     if not np.any(pattern):
         raise ValueError("load pattern must be nonzero")
 
-    top = targets[-1]
+    if bracket and (not levels or levels[-1] < f_hi):
+        levels.append(f_hi)
+    top = levels[-1]
     f_ref = make_load_case(structure, top * pattern).f_total
-    records, cause, good = _trace(structure, f_ref,
-                                  [f / top for f in targets],
-                                  config.tolerance, math.inf, resolution / top)
-    reached = dict(zip(targets, records))
+    path, good = _trace(structure, f_ref, [f / top for f in levels],
+                        config.tolerance, math.inf, resolution / top)
     force = error = None
-    if f_hi in reached:
+    if bracket and good is not None and top * good.lam >= f_hi:
         force, error = math.inf, f"structure still holds at f_hi = {f_hi}"
-    elif cause == "refinement bound":
+    elif path.cause == "refinement bound":
         error = (f"refinement bound: the first instability is not resolved "
                  f"to resolution = {resolution} within {REFINE_MAX_STATES} "
                  "states past it")
@@ -239,7 +242,7 @@ def trace_loads(
         if force < f_lo:
             force = -math.inf
             error = f"structure already collapses at f_lo = {f_lo}"
-    return [reached.get(f) for f in loads], force, error
+    return SolveResult(path.increments[:len(loads)], path.cause, force, error)
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,7 @@ def _trace(
     tolerance: float,
     maxiter: float,
     lam_resolution: float,
-) -> tuple[list[IncrementRecord], Optional[str], Optional[_PathState]]:
+) -> tuple[SolveResult, Optional[_PathState]]:
     """Follow the path F_ext = lam * f_ref from the unloaded state by
     cylindrical arc length, landing exactly on each of the ascending load
     factors ``levels``.
@@ -285,8 +288,7 @@ def _trace(
     state at half the step length until the crossing step is at most
     ``lam_resolution``; it ends "refinement bound" at the first
     positive-definite state past REFINE_MAX_STATES in that refinement.
-    Returns the records of the levels reached, the cause that ended the
-    path (None when every level was reached) and the last
+    Returns the SolveResult of the levels reached and the last
     positive-definite state (None when the unloaded tangent is not).
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +310,7 @@ def _trace(
             if cause is not None:
                 if good is None or d_lam <= lam_resolution:
                     log.info("path ended at load factor %.6g (%s)", lam, cause)
-                    return records, cause, good
+                    return SolveResult(records, cause), good
                 refining = True
                 arc *= 0.5
             else:
@@ -320,7 +322,7 @@ def _trace(
                 elif refined == REFINE_MAX_STATES:
                     log.info("refinement ended at load factor %.6g after %d "
                              "states", lam, refined)
-                    return records, "refinement bound", good
+                    return SolveResult(records, "refinement bound"), good
                 else:
                     refined += 1
                 good, cuts = _PathState(u, lam, r_vec, x_f), 0
@@ -329,7 +331,7 @@ def _trace(
                                                    r_norm))
                     spent = 0
                     if len(records) == len(levels):
-                        return records, None, good
+                        return SolveResult(records), good
 
             cause = "no convergence"
             while True:
@@ -348,7 +350,7 @@ def _trace(
                         or not landed and good.lam + d_lam == good.lam):
                     log.info("no step from load factor %.6g converges (%s)",
                              good.lam, cause)
-                    return records, cause, good
+                    return SolveResult(records, cause), good
                 try:
                     u, lam, rows, r_vec, r_norm, iterations = _correct(
                         structure, good.u, d_lam * good.x_f,

@@ -534,13 +534,14 @@ def test_sweep_path_agrees_with_a_solve_per_magnitude(name):
                                    direction=STUDY_DIRECTION).f_total
     config = SolverConfig(n_inc=10)
     loads = (0.4 * STUDY_LIMIT[name], 0.8 * STUDY_LIMIT[name])
-    records, _, _ = trace_loads(structure, pattern, loads, config,
-                                (0.05, 4.0, 0.05))
+    records = trace_loads(structure, pattern, loads, config,
+                          (0.05, 4.0, 0.05)).increments
+    assert len(records) == len(loads)
     free = np.setdiff1d(np.arange(structure.n_dof), structure.supports.dofs)
     for load, record in zip(loads, records):
         result = solve(structure,
                        make_load_case(structure, load * pattern), config)
-        assert result.completed and record is not None
+        assert result.completed
         state, _ = update_member_data(structure, result.final_displacement)
         k_free = dense_tangent(structure, state)[np.ix_(free, free)]
         bound = 2.0 * config.tolerance / np.linalg.eigvalsh(k_free)[0]
@@ -549,7 +550,8 @@ def test_sweep_path_agrees_with_a_solve_per_magnitude(name):
 
 
 @pytest.mark.parametrize("loads", [(), (0.0,), (-0.1,), (math.nan,),
-                                   (0.1, math.inf)])
+                                   (0.1, math.inf), (0.4, 0.2),
+                                   (0.2, 0.2, 0.4)])
 def test_trace_loads_needs_positive_finite_loads(make_cantilever, loads):
     s = make_cantilever(4)
     pattern = np.zeros(s.n_dof)
@@ -574,17 +576,28 @@ def test_unusable_requests_raise(make_cantilever, call, error, match):
         call(s, pattern)
 
 
-def test_trace_loads_records_each_load_once(make_cantilever):
-    # a repeated load shares its record, and the probe's f_hi gets none
+def test_trace_loads_gives_f_hi_no_record(make_cantilever):
     s = make_cantilever(4)
     pattern = np.zeros(s.n_dof)
     pattern[s.dof_index(4, "u")] = 1.0   # axial load never collapses a bar
-    records, force, error = trace_loads(s, pattern, (0.2, 0.2, 0.4),
-                                        SolverConfig(), (0.01, 0.5, 0.01))
-    assert records[0] is records[1]
-    assert [r.n for r in records] == [1, 1, 2]
-    assert force == math.inf
-    assert error == "structure still holds at f_hi = 0.5"
+    result = trace_loads(s, pattern, (0.2, 0.4), SolverConfig(),
+                         (0.01, 0.5, 0.01))
+    assert [r.n for r in result.increments] == [1, 2]
+    assert result.completed
+    assert result.force == math.inf
+    assert result.error == "structure still holds at f_hi = 0.5"
+
+
+def test_record_n_is_the_state_at_loads_n_minus_1():
+    # the probe's f_hi = 0.4 lies between the loads; the default finger
+    # holds to 4 N, so the path reaches both loads and holds at f_hi
+    model = generate(FinRayParams())
+    pattern = load_at_contact_node(model, 2, 1.0).f_total
+    result = trace_loads(model.structure, pattern, (0.2, 0.6),
+                         SolverConfig(), (0.05, 0.4, 0.05))
+    assert [r.n for r in result.increments] == [1, 2]
+    assert result.force == math.inf
+    assert result.error == "structure still holds at f_hi = 0.4"
 
 
 def test_a_collapse_below_f_lo_is_minus_infinity():
@@ -593,13 +606,13 @@ def test_a_collapse_below_f_lo_is_minus_infinity():
     pattern = load_at_contact_node(model, 2, 1.0,
                                    direction=STUDY_DIRECTION).f_total
     bracket = (1.0, 4.0, 0.05)
-    _, force, error = trace_loads(model.structure, pattern, (),
-                                  SolverConfig(), bracket)
-    assert force == -math.inf
-    assert error == "structure already collapses at f_lo = 1.0"
+    result = trace_loads(model.structure, pattern, (), SolverConfig(),
+                         bracket)
+    assert result.force == -math.inf
+    assert result.error == "structure already collapses at f_lo = 1.0"
     with pytest.raises(BracketInvalid) as exc:
         probe_max_force(model.structure, pattern, SolverConfig(), *bracket)
-    assert str(exc.value) == error
+    assert str(exc.value) == result.error
 
 
 class Livelock(Exception):
@@ -682,10 +695,10 @@ def test_probe_refinement_ends_at_its_bound(case, share, solves,
     monkeypatch.setattr(finbeam.solver, "solve_linear", counted)
     structure, pattern, f_lo, f_hi = case()
     resolution = share * f_hi
-    _, force, error = trace_loads(structure, pattern, (), SolverConfig(),
-                                  (f_lo, f_hi, resolution))
-    assert force is None
-    assert error == (
+    result = trace_loads(structure, pattern, (), SolverConfig(),
+                         (f_lo, f_hi, resolution))
+    assert result.force is None
+    assert result.error == (
         "refinement bound: the first instability is not resolved to "
         f"resolution = {resolution} within "
         f"{finbeam.solver.REFINE_MAX_STATES} states past it")
@@ -861,11 +874,12 @@ def _rotated(structure, pattern, degrees):
 
 
 # Relative bound on the similarity and frame laws below. They hold exactly
-# in exact arithmetic: scaling E with the bracket, resolution and tolerance
-# scales every residual and its test alike, and a rotated frame has the
-# same local deformations. In floats the scaled and rotated inputs round
-# differently, which moved the answers by at most 3.2e-12 relative on
-# these fingers. 1e-9 leaves that roundoff room to grow 300-fold and lies
+# in exact arithmetic: scaling E, or A and I together through section_b,
+# with the bracket, resolution and tolerance scales every residual and its
+# test alike, and a rotated frame has the same local deformations. In
+# floats the scaled and rotated inputs round differently, which moved the
+# answers by at most 3.2e-12 relative on these fingers (2.5e-12 for
+# section_b). 1e-9 leaves that roundoff room to grow 300-fold and lies
 # far below the tolerance (1e-3 N) and the resolution (0.05 N), the scales
 # on which a step or convergence decision that went the other way would
 # move the answer.
@@ -891,6 +905,10 @@ def test_probe_obeys_the_modulus_similarity_and_frame_invariance(name):
     assert 0.05 < force < 4.0
     stiffer = dataclasses.replace(params, e_modulus=10 * params.e_modulus)
     assert probe(stiffer, scale=10.0) == pytest.approx(
+        10 * force, rel=SIMILARITY_RTOL, abs=0)
+    # A and I both x 10
+    wider = dataclasses.replace(params, section_b=10 * params.section_b)
+    assert probe(wider, scale=10.0) == pytest.approx(
         10 * force, rel=SIMILARITY_RTOL, abs=0)
     for degrees in (90.0, 200.0):
         assert probe(params, degrees=degrees) == pytest.approx(
