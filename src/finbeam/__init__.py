@@ -4,15 +4,7 @@ Co-rotational beam elements, a path-following Newton-Raphson
 force-displacement solver, a parametric Fin-Ray finger generator and a
 design-sweep command line front end.
 
-Typical use::
-
-    from finbeam import FinRayParams, SolverConfig, generate
-    from finbeam import load_at_contact_node, solve
-
-    model = generate(FinRayParams(n_crossbeams=4))
-    case = load_at_contact_node(model, node_rank=2, magnitude=0.8)
-    result = solve(model.structure, case, SolverConfig(n_inc=10))
-    print(result.final_displacement)
+Typical use: README.md, "Library quick start", whose examples the tests run.
 """
 
 from .model import (

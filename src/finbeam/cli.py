@@ -153,15 +153,12 @@ def _cmd_solve(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["increment", "node", "u", "w", "theta",
                          "residual_norm", "iterations"])
-        for record in result.increments:
-            for node in structure.nodes:
-                base = 3 * node.id
+        for n, record in enumerate(result.increments, start=1):
+            for node, (u, w, theta) in enumerate(
+                    record.displacement.reshape(-1, 3)):
                 writer.writerow([
-                    record.n, node.id,
-                    repr(float(record.displacement[base])),
-                    repr(float(record.displacement[base + 1])),
-                    repr(float(record.displacement[base + 2])),
-                    repr(float(record.residual_norm)),
+                    n, node, repr(float(u)), repr(float(w)),
+                    repr(float(theta)), repr(float(record.residual_norm)),
                     record.iterations,
                 ])
 
@@ -239,9 +236,10 @@ def _list(name: str, value) -> list:
 
 def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
     """Trace one sweep variant's path once (trace_loads): its CSV rows at
-    every load magnitude, as the writer takes them, and, optionally, its
-    probe: trace_loads's force, and the summary's max_allowable_force, that
-    force when it is finite, else None."""
+    every load magnitude, as the writer takes them, the loaded node's
+    |(u, w)| at each magnitude the path reached and, optionally, its probe:
+    trace_loads's force, and the summary's max_allowable_force, that force
+    when it is finite, else None."""
     model = generate(replace(spec.base_params, **{spec.axis: value}))
     label = f"{spec.axis}={value}"
     pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
@@ -251,18 +249,18 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
                          spec.config, bracket)
     if result.error:
         log.warning("probe for %s: %s", label, result.error)
-    rows, loaded_node_disp = [], {}
+    rows, loaded_node_disp = [], []
     records = result.increments + [None] * len(spec.load_magnitudes)
     for magnitude, record in zip(spec.load_magnitudes, records):
         for rank, node in enumerate(model.contact_nodes, start=1):
-            u, w, theta = (record.displacement[3 * node:3 * node + 3]
+            u, w, theta = (record.displacement.reshape(-1, 3)[node]
                            if record else [math.nan] * 3)
             rows.append([
                 label, repr(float(magnitude)), rank, repr(float(u)),
                 repr(float(w)), repr(float(theta)), record is not None,
                 repr(float(record.iterations if record else math.nan))])
             if rank == spec.load_node_rank and record:
-                loaded_node_disp[magnitude] = math.hypot(u, w)
+                loaded_node_disp.append(math.hypot(u, w))
     force = result.force
     finite = force is not None and math.isfinite(force)
     return {"label": label, "value": value, "rows": rows, "force": force,
@@ -282,16 +280,15 @@ def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
     if spec.axis != "connection":
         variants = sorted(variants, key=operator.itemgetter("value"))
     trends: dict = {}
-    common = [m for m in spec.load_magnitudes
-              if all(m in v["loaded_node_disp"] for v in variants)]
-    probe_mag = common[-1] if common else None
-    disp = [v["loaded_node_disp"].get(probe_mag) for v in variants]
-    have_disp = probe_mag is not None
+    # every path reached load_magnitudes[:reached]; judged at the last
+    reached = min(len(v["loaded_node_disp"]) for v in variants)
+    disp = ([v["loaded_node_disp"][reached - 1] for v in variants]
+            if reached else [])
 
-    if spec.axis in DISPLACEMENT_TRENDS and have_disp:
+    if spec.axis in DISPLACEMENT_TRENDS and disp:
         name, order = DISPLACEMENT_TRENDS[spec.axis]
         trends[name] = all(map(order, disp, disp[1:]))
-    elif spec.axis == "connection" and have_disp:
+    elif spec.axis == "connection" and disp:
         by_value = {v["value"]: d for v, d in zip(variants, disp)}
         if "simple" in by_value and "rigid" in by_value and by_value["rigid"]:
             trends["simple_over_rigid_ratio"] = (

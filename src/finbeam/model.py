@@ -274,19 +274,25 @@ def build_structure(
     Nodes come as (id, x, y) tuples, elements as (node_i, node_j, props)
     with reference length and orientation computed from the node
     coordinates, and supports as a mapping of node id to (u, w, theta)
-    fixities. Raises DuplicateNode, DanglingElement, Disconnected or
-    UnconstrainedStructure on malformed input, and ModelError when every
+    fixities: integer ids and ends, finite coordinates and three booleans,
+    each checked by typed under its structure document key. Raises
+    DuplicateNode, DanglingElement, Disconnected or UnconstrainedStructure
+    on malformed input, and ModelError for a mistyped input, when every
     DOF is fixed or an element's EA/L0 or EI/L0 is not a normal finite
     float; only a pin-ended element's EI/L0 is 0.
     """
-    node_list = [Node(*n) for n in nodes]
-    seen: set[int] = set()
-    for n in node_list:
-        if n.id in seen:
-            raise DuplicateNode(f"node id {n.id} appears more than once")
-        seen.add(n.id)
-        if not (math.isfinite(n.x0) and math.isfinite(n.y0)):
-            raise ModelError(f"node {n.id} has non-finite coordinates")
+    node_list, seen = [], set()
+    for node_id, x, y in nodes:
+        node_id = typed("id", node_id, int)
+        if node_id in seen:
+            raise DuplicateNode(f"node id {node_id} appears more than once")
+        seen.add(node_id)
+        if not all(math.isfinite(c) for c in (x, y)
+                   if isinstance(c, numbers.Real)):
+            raise ModelError(f"node {node_id} has non-finite coordinates "
+                             f"(x, y) = ({x!r}, {y!r})")
+        node_list.append(Node(node_id, typed("x", x, float),
+                              typed("y", y, float)))
     n_nodes = len(node_list)
     if seen != set(range(n_nodes)):
         raise ModelError(
@@ -296,6 +302,7 @@ def build_structure(
 
     elements = []
     for i, j, props in element_specs:
+        i, j = typed("i", i, int), typed("j", j, int)
         if i == j:
             raise ModelError(f"element connects node {i} to itself")
         for end in (i, j):
@@ -310,15 +317,21 @@ def build_structure(
             raise ModelError(f"element ({i}, {j}) has zero reference length")
         elements.append(Element(i, j, props, l0, math.atan2(dy, dx)))
 
-    supports = SupportSet({k: tuple(bool(b) for b in v)
-                           for k, v in supports.items()})
-    for node_id in supports.constrained:
+    constrained = {}
+    for node_id, fixities in supports.items():
+        node_id, fixities = typed("node", node_id, int), tuple(fixities)
         if not 0 <= node_id < n_nodes:
             raise UnknownNode(f"support references missing node {node_id}")
-    if not any(fix[0] or fix[1] for fix in supports.constrained.values()):
+        if len(fixities) != 3:
+            raise ModelError(f"support at node {node_id} must give (u, w, "
+                             f"theta) fixities, got {fixities!r}")
+        constrained[node_id] = tuple(typed(key, fixed, bool) for key, fixed
+                                     in zip(COMPONENTS, fixities))
+    if not any(fix[0] or fix[1] for fix in constrained.values()):
         raise UnconstrainedStructure(
             "no translational DOF is constrained; structure is a mechanism")
 
+    supports = SupportSet(constrained)
     if len(supports.dofs) == 3 * n_nodes:
         raise ModelError("every DOF is fixed; the structure has no free DOF "
                          "to solve for")
@@ -409,21 +422,21 @@ def load_case(
     structure: Structure,
     nodal_forces: Mapping[int, Sequence[float]],
 ) -> LoadCase:
-    """Build a LoadCase from {node id: (fx, fy, moment)}.
+    """Build a LoadCase from {integer node id: (fx, fy, moment)}.
 
     Loads on constrained DOFs are rejected rather than silently dropped,
-    so modelling mistakes surface early.
+    so modelling mistakes surface early; typed checks ids and components.
     """
     f = np.zeros(structure.n_dof)
     for node_id, comps in nodal_forces.items():
+        node_id = typed("load node", node_id, int)
         if not 0 <= node_id < len(structure.nodes):
             raise UnknownNode(f"load references missing node {node_id}")
-        comps = tuple(comps)
+        comps = [typed(f"load at node {node_id}", c, float) for c in comps]
         if len(comps) != 3:
             raise ModelError(
                 f"load at node {node_id} must give (fx, fy, moment)")
-        for k, value in enumerate(comps):
-            f[3 * node_id + k] += float(value)
+        f[3 * node_id:3 * node_id + 3] += comps
     return make_load_case(structure, f)
 
 
@@ -474,21 +487,18 @@ def structure_from_dict(data: Mapping) -> Structure:
 
     known_keys("structure", data, STRUCTURE_KEYS)
     try:
-        nodes = [(typed("id", n["id"], int), typed("x", n["x"], float),
-                  typed("y", n["y"], float))
+        nodes = [(n["id"], n["x"], n["y"])
                  for n in entries("nodes", NODE_KEYS)]
-        specs = [(typed("i", e["i"], int), typed("j", e["j"], int),
+        specs = [(e["i"], e["j"],
                   ElementProps(*(typed(key, e[key], float) for key in "EAI"),
-                               typed("kind", e.get("kind", KIND_BEAM), str)))
+                               e.get("kind", KIND_BEAM)))
                  for e in entries("elements", ELEMENT_KEYS)]
         supports = {}
         for s in entries("supports", SUPPORT_KEYS):
-            node_id = typed("node", s["node"], int)
-            if node_id in supports:
-                raise ModelError(f"supports: node {node_id} is listed more "
+            if s["node"] in supports:
+                raise ModelError(f"supports: node {s['node']} is listed more "
                                  "than once")
-            supports[node_id] = tuple(typed(key, s[key], bool)
-                                      for key in COMPONENTS)
+            supports[s["node"]] = tuple(s[key] for key in COMPONENTS)
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed structure document: {exc}") from exc
     return build_structure(nodes, specs, supports)

@@ -80,7 +80,6 @@ class SolverConfig:
 class IncrementRecord:
     """Converged state after one load increment."""
 
-    n: int
     displacement: np.ndarray
     iterations: int
     residual_norm: float
@@ -327,8 +326,7 @@ def _trace(
                     refined += 1
                 good, cuts = _PathState(u, lam, r_vec, x_f), 0
                 if landed:
-                    records.append(IncrementRecord(len(records) + 1, u, spent,
-                                                   r_norm))
+                    records.append(IncrementRecord(u, spent, r_norm))
                     spent = 0
                     if len(records) == len(levels):
                         return SolveResult(records), good

@@ -222,9 +222,9 @@ def test_criterion_5_equilibrium_and_step_independence():
     cfg = SolverConfig(n_inc=10)
     result = solve(s, case, cfg)
     assert result.completed
-    for rec in result.increments:
+    for n, rec in enumerate(result.increments, start=1):
         _, f_int = update_member_data(s, rec.displacement)
-        f_n = (rec.n / cfg.n_inc) * case.f_total
+        f_n = (n / cfg.n_inc) * case.f_total
         residual_norm = np.linalg.norm((f_int - f_n)[free])
         assert residual_norm <= 1e-3
 

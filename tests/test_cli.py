@@ -484,6 +484,26 @@ class TestSweep:
         assert [v["max_allowable_force"] is None
                 for v in summary["variants"]] == [False, True]
 
+    def test_displacement_trend_is_judged_at_the_last_common_magnitude(
+            self, tmp_path):
+        # the two-crossbeam finger's path ends between 0.715 and 1.0 N, so
+        # the trend compares the loaded node's |(u, w)| at 0.715 N
+        data = sweep_spec(values=(2, 3))
+        data["load_magnitudes"] = [0.2, 0.715, 1.0]
+        spec = write_json(tmp_path / "sweep.json", data)
+        out = tmp_path / "report.csv"
+        assert main(["sweep", spec, str(out)]) == 0
+        summary = json.loads((tmp_path / "report.summary.json").read_text())
+        loaded = {(row["variant"], row["load_n"]): row
+                  for row in read_csv(out) if row["node_rank"] == "2"}
+        assert [loaded[f"n_crossbeams={v}", "1.0"]["converged"]
+                for v in (2, 3)] == ["False", "True"]
+        disp = [math.hypot(float(row["u"]), float(row["w"]))
+                for row in (loaded[f"n_crossbeams={v}", "0.715"]
+                            for v in (2, 3))]
+        assert summary["trends"] == {
+            "displacement_decreasing_with_crossbeams": disp[0] > disp[1]}
+
     def test_each_variant_is_traced_once_without_solve(self, tmp_path,
                                                        monkeypatch):
         def no_solve(*args, **kwargs):

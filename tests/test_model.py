@@ -86,6 +86,13 @@ def test_unconstrained_rejected():
                         [(0, 1, props())], {0: (False, False, True)})
 
 
+def two_nodes(first=(0, 0.0, 0.0), second=(1, 1.0, 0.0), j=1,
+              supports=None):
+    """One element from node 0 to node j, node 0 clamped by default."""
+    return build_structure([first, second], [(0, j, props())],
+                           supports or {0: FIXED})
+
+
 @pytest.mark.parametrize("make, error, match", [
     (lambda: build_structure([(0, 0.0, 0.0), (1, math.inf, 0.0)],
                              [(0, 1, props())], {0: FIXED}),
@@ -104,9 +111,44 @@ def test_unconstrained_rejected():
      ModelError, r"load at node 1 must give \(fx, fy, moment\)"),
     (lambda: make_load_case(chain(2), np.zeros(5)),
      ModelError, r"force vector has shape \(5,\), expected \(6,\)"),
+    # each was read by float() or indexed with: 1 N, 0.3 N, node 1, an
+    # IndexError and a TypeError
+    (lambda: load_case(chain(4), {1: (True, 0, 0)}), ModelError,
+     "load at node 1 must be a finite number, got True"),
+    (lambda: load_case(chain(4), {1: ("0.3", 0, 0)}), ModelError,
+     "load at node 1 must be a finite number, got '0.3'"),
+    (lambda: load_case(chain(4), {True: (1.0, 0.0, 0.0)}), ModelError,
+     "load node must be an integer, got True"),
+    (lambda: load_case(chain(4), {2.0: (1.0, 0.0, 0.0)}), ModelError,
+     "load node must be an integer, got 2.0"),
+    (lambda: load_case(chain(4), {"3": (1.0, 0.0, 0.0)}), ModelError,
+     "load node must be an integer, got '3'"),
+    # each was coerced or taken as given: "no" read as True, a missing
+    # theta left free, a fourth fixity fixing node 1's u, ids False, True
+    # and 0.0 read as 0 and 1, x = True as 1.0, and a float end a TypeError
+    (lambda: two_nodes(supports={0: ("no", "no", "no")}), ModelError,
+     "u must be a boolean, got 'no'"),
+    (lambda: two_nodes(supports={0: (True, True)}), ModelError,
+     r"support at node 0 must give \(u, w, theta\) fixities"),
+    (lambda: two_nodes(supports={0: (True,) * 4}), ModelError,
+     r"support at node 0 must give \(u, w, theta\) fixities"),
+    (lambda: two_nodes(supports={False: FIXED}), ModelError,
+     "node must be an integer, got False"),
+    (lambda: two_nodes(first=(False, 0.0, 0.0)), ModelError,
+     "id must be an integer, got False"),
+    (lambda: two_nodes(second=(True, 1.0, 0.0)), ModelError,
+     "id must be an integer, got True"),
+    (lambda: two_nodes(first=(0.0, 0.0, 0.0)), ModelError,
+     "id must be an integer, got 0.0"),
+    (lambda: two_nodes(second=(1, True, 0.0)), ModelError,
+     "x must be a finite number, got True"),
+    (lambda: two_nodes(j=1.0), ModelError, "j must be an integer, got 1.0"),
 ], ids=["non-finite-node", "support-on-missing-node", "no-nodes",
         "no-nodes-supported", "no-nodes-connected", "load-not-3-components",
-        "force-wrong-shape"])
+        "force-wrong-shape", "load-bool", "load-string", "load-node-bool",
+        "load-node-float", "load-node-string", "fixity-string",
+        "two-fixities", "four-fixities", "support-node-bool", "id-false",
+        "id-true", "id-float", "x-bool", "end-float"])
 def test_malformed_input_rejected(make, error, match):
     with pytest.raises(error, match=match):
         make()
