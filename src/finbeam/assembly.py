@@ -93,8 +93,10 @@ class DegenerateElement(RuntimeError):
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi] in place and return them. fmod is exact,
     and so is the single shift by tau that follows (the operands are within
-    a factor of two of each other); angles inside (-pi, pi) skip both."""
-    if np.maximum.reduce(np.abs(angles), axis=None, initial=0.0) < math.pi:
+    a factor of two of each other), so an angle inside (-pi, pi) is left
+    as it is; when the sum of squares is below pi^2 (vdot, which never
+    warns) every angle is inside, and both are skipped."""
+    if np.vdot(angles, angles) < math.pi ** 2:
         return angles
     np.fmod(angles, math.tau, out=angles)
     angles[angles > math.pi] -= math.tau
@@ -159,17 +161,17 @@ _UNPACK[PACKED_ENTRIES] = _UNPACK[PACKED_ENTRIES[::-1]] = np.arange(21)
 def current_geometry(
     structure: Structure,
     p: np.ndarray,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray,
+) -> np.ndarray:
     """Chord lengths and orientations of every displaced element.
 
     ``p`` is (n_elements, 6), each element's nodal displacements. The chord
     is the reference chord plus the relative nodal translations; nodal
-    rotations do not move it. Returns the (n_elements,) lengths L and the
-    column-major (n_elements, 4) columns (c, s, c/L, s/L), (c, s) the
-    direction cosines, transposed from ``out`` if given. Raises
-    DegenerateElement when an element's displaced nodes (nearly) coincide.
-    A non-finite displacement gives non-finite geometry.
+    rotations do not move it. Fills the (4, n_elements) ``out`` with the
+    rows (c, s, c/L, s/L), (c, s) the direction cosines, and returns the
+    (n_elements,) lengths L. Raises DegenerateElement when an element's
+    displaced nodes (nearly) coincide. A non-finite displacement gives
+    non-finite geometry.
     """
     chord = structure.element_chord0.T + (p.T[3:5] - p.T[:2])
     length = np.hypot(chord[0], chord[1])
@@ -180,10 +182,9 @@ def current_geometry(
             f"element {index}: displaced nodes coincide (length "
             f"{length[index]:.3e} from l0 "
             f"{structure.element_l0[index]:.3e})")
-    columns = np.empty((4, len(length))) if out is None else out
-    np.divide(chord, length, out=columns[:2])
-    np.divide(columns[:2], length, out=columns[2:])
-    return length, columns.T
+    np.divide(chord, length, out=out[:2])
+    np.divide(out[:2], length, out=out[2:])
+    return length
 
 
 def update_member_data(
@@ -193,8 +194,8 @@ def update_member_data(
     """Every element's state at a displacement, and F_int. The state is
     one (10, n_elements) array, the filled copy of
     Structure.element_tangent_rows: the rows (EA/L0, EI/L0, EI/L0, N,
-    M1+M2, 1, c, s, c/L, s/L) in element order, rows 6-9 the chord columns
-    of current_geometry.
+    M1+M2, 1, c, s, c/L, s/L) in element order, rows 6-9 filled by
+    current_geometry.
 
     The local deformations are the stretch u_l = L - L0 and the end
     rotations less the chord's rigid turn beta - beta0, wrapped into
@@ -206,18 +207,18 @@ def update_member_data(
     """
     p = displacement[structure.element_dof_rows]
     rows = structure.element_tangent_rows.copy()
-    length, cs = current_geometry(structure, p.T, rows[6:])
-    beta = np.arctan2(cs[:, 1], cs[:, 0])
+    length = current_geometry(structure, p.T, rows[6:])
+    beta = np.arctan2(rows[7], rows[6])
     local = np.empty((3, len(length)))  # u_l, theta_1l, theta_2l
     np.subtract(length, structure.element_l0, out=local[0])
     np.add(p[2::3], structure.element_beta0 - beta, out=local[1:])
     _wrap_angles(local[1:])
     local *= rows[:3]  # local[0] is now N
     rows[3] = local[0]
-    weights = _FORCE_ROWS @ local  # [N, N, M1+M2, M1+M2, M1, M2]
+    weights = np.dot(_FORCE_ROWS, local)  # [N, N, M1+M2, M1+M2, M1, M2]
     np.add(weights[4], weights[5], out=rows[4])
-    weights[:4] *= cs.T
-    q = weights.T @ Q_BASIS
+    weights[:4] *= rows[6:]
+    q = np.dot(weights.T, Q_BASIS)
     f_int = np.bincount(structure.element_dofs.ravel(), weights=q.ravel(),
                         minlength=structure.n_dof)
     return rows, f_int

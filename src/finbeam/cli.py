@@ -238,8 +238,7 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
     """Trace one sweep variant's path once (trace_loads): its CSV rows at
     every load magnitude, as the writer takes them, the loaded node's
     |(u, w)| at each magnitude the path reached and, optionally, its probe:
-    trace_loads's force, and the summary's max_allowable_force, that force
-    when it is finite, else None."""
+    trace_loads's force and error."""
     model = generate(replace(spec.base_params, **{spec.axis: value}))
     label = f"{spec.axis}={value}"
     pattern = load_at_contact_node(model, spec.load_node_rank, 1.0,
@@ -261,11 +260,9 @@ def _run_variant(spec: SweepSpec, value, do_probe: bool) -> dict:
                 repr(float(record.iterations if record else math.nan))])
             if rank == spec.load_node_rank and record:
                 loaded_node_disp.append(math.hypot(u, w))
-    force = result.force
-    finite = force is not None and math.isfinite(force)
-    return {"label": label, "value": value, "rows": rows, "force": force,
-            "max_allowable_force": force if finite else None,
-            "probe_error": result.error, "loaded_node_disp": loaded_node_disp}
+    return {"label": label, "value": value, "rows": rows,
+            "force": result.force, "probe_error": result.error,
+            "loaded_node_disp": loaded_node_disp}
 
 
 def _trend_checks(spec: SweepSpec, variants: list[dict], probed: bool) -> dict:
@@ -333,7 +330,9 @@ def _cmd_sweep(args) -> int:
         "load_magnitudes": list(spec.load_magnitudes),
         "variants": [
             {"label": v["label"], "value": v["value"],
-             "max_allowable_force": v["max_allowable_force"],
+             "max_allowable_force": (
+                 v["force"] if v["force"] is not None
+                 and math.isfinite(v["force"]) else None),
              "probe_error": v["probe_error"]}
             for v in variants
         ],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +29,6 @@ KIND_PIN = "pin-ended"
 # generate adds the finger's contact_nodes, which a solve does not read
 STRUCTURE_KEYS = ("nodes", "elements", "supports", "contact_nodes")
 NODE_KEYS = ("id", "x", "y")
-ELEMENT_KEYS = ("i", "j", "E", "A", "I", "kind")
 SUPPORT_KEYS = ("node", *COMPONENTS)
 
 
@@ -66,18 +65,23 @@ class Node:
     y0: float
 
 
+def document_key(f) -> str:
+    """A dataclass field's metadata "key", else its name."""
+    return f.metadata.get("key", f.name)
+
+
 @dataclass(frozen=True)
 class ElementProps:
     """Material and section data of one element.
 
     E, A and I are finite positive numbers, never bools. ``kind`` is either
     ``"beam"`` (moment-carrying at both ends) or ``"pin-ended"``
-    (moment-free at both ends, axial force only).
-    """
+    (moment-free at both ends, axial force only). Messages name a field
+    by its document_key."""
 
-    e_modulus: float
-    area: float
-    inertia: float
+    e_modulus: float = field(metadata={"key": "E"})
+    area: float = field(metadata={"key": "A"})
+    inertia: float = field(metadata={"key": "I"})
     kind: str = KIND_BEAM
 
     def __post_init__(self):
@@ -88,6 +92,9 @@ class ElementProps:
                 f"A={self.area}, I={self.inertia}")
         if self.kind not in (KIND_BEAM, KIND_PIN):
             raise ModelError(f"unknown element kind {self.kind!r}")
+
+
+ELEMENT_KEYS = ("i", "j", *map(document_key, fields(ElementProps)))
 
 
 @dataclass(frozen=True)
@@ -463,8 +470,9 @@ def structure_to_dict(structure: Structure) -> dict:
     return {
         "nodes": [{"id": n.id, "x": n.x0, "y": n.y0} for n in structure.nodes],
         "elements": [
-            {"i": e.node_i, "j": e.node_j, "E": e.props.e_modulus,
-             "A": e.props.area, "I": e.props.inertia, "kind": e.props.kind}
+            {"i": e.node_i, "j": e.node_j,
+             **{document_key(f): getattr(e.props, f.name)
+                for f in fields(ElementProps)}}
             for e in structure.elements
         ],
         "supports": [
@@ -489,9 +497,9 @@ def structure_from_dict(data: Mapping) -> Structure:
     try:
         nodes = [(n["id"], n["x"], n["y"])
                  for n in entries("nodes", NODE_KEYS)]
-        specs = [(e["i"], e["j"],
-                  ElementProps(*(typed(key, e[key], float) for key in "EAI"),
-                               e.get("kind", KIND_BEAM)))
+        specs = [(e["i"], e["j"], ElementProps(**{
+                      f.name: e[document_key(f)] for f in fields(ElementProps)
+                      if f.default is MISSING or document_key(f) in e}))
                  for e in entries("elements", ELEMENT_KEYS)]
         supports = {}
         for s in entries("supports", SUPPORT_KEYS):
@@ -537,9 +545,9 @@ def typed_fields(instance, positive: Sequence[str] = ()) -> None:
     """Store each dataclass field as typed returns it, of the kind its
     annotation text names, so that 2e7 and 20000000 make equal instances;
     then ValueError when a field named in ``positive`` is not above 0."""
-    for field in fields(instance):
-        object.__setattr__(instance, field.name, typed(
-            field.name, getattr(instance, field.name), _BY_NAME[field.type]))
+    for f in fields(instance):
+        object.__setattr__(instance, f.name, typed(
+            document_key(f), getattr(instance, f.name), _BY_NAME[f.type]))
     for name in positive:
         if not getattr(instance, name) > 0:
             raise ValueError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -244,8 +244,7 @@ def trace_loads(
     return SolveResult(path.increments[:len(loads)], path.cause, force, error)
 
 
-@dataclass(frozen=True)
-class _PathState:
+class _PathState(NamedTuple):
     """A converged state of the continuation whose tangent is positive
     definite: displacement, load factor, force residual, and
     x_f = K^-1 f_ref in band order, the direction of its predictor."""
@@ -334,7 +333,7 @@ def _trace(
             cause = "no convergence"
             while True:
                 level = levels[len(records)]
-                x_norm = np.linalg.norm(good.x_f)
+                x_norm = np.sqrt(good.x_f.dot(good.x_f))
                 # d = arc / ||x_f|| > 0: from a positive-definite state the
                 # path rises; the landing step may run back to a level the
                 # arc passed

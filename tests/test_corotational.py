@@ -36,8 +36,9 @@ from oracles import (
 
 def geometry(structure, p):
     """(length, c, s) of the one element displaced by p."""
-    length, cs = current_geometry(structure, np.asarray(p, float)[None, :])
-    return length[0], cs[0, 0], cs[0, 1]
+    cs = np.empty((4, 1))
+    length = current_geometry(structure, np.asarray(p, float)[None, :], cs)
+    return length[0], cs[0, 0], cs[1, 0]
 
 
 def local_deformations(structure, p):
@@ -65,6 +66,52 @@ def test_wrap_angle():
     assert wrapped[2] == pytest.approx(math.pi)
     assert wrapped[3] == pytest.approx(math.pi)
     assert wrapped[4] == pytest.approx(0.25, abs=1e-14)
+
+
+def exact_wrap(angles):
+    """_wrap_angles with a per-angle test, the largest |angle| below pi,
+    in place of its sum-of-squares test."""
+    if np.maximum.reduce(np.abs(angles), axis=None, initial=0.0) < math.pi:
+        return angles
+    np.fmod(angles, math.tau, out=angles)
+    angles[angles > math.pi] -= math.tau
+    angles[angles <= -math.pi] += math.tau
+    return angles
+
+
+def outcome(wrap, angles):
+    """The wrapped bytes, or the type of what wrap raised, under
+    np.errstate(all="raise")."""
+    angles = np.array(angles, dtype=float).reshape(2, -1)
+    try:
+        with np.errstate(all="raise"):
+            assert wrap(angles) is angles
+    except FloatingPointError as exc:
+        return type(exc)
+    return angles.tobytes()
+
+
+BELOW_PI, ABOVE_PI = np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)
+
+
+WRAP_CASES = {
+    "pi": [math.pi, -math.pi], "pi-small": [math.pi, 1e-3],
+    "-pi-small": [-math.pi, 1e-3], "-pi-zero": [-math.pi, 0.0],
+    "below-pi": [BELOW_PI, -BELOW_PI], "above-pi": [ABOVE_PI, -ABOVE_PI],
+    "below-pi-zero": [BELOW_PI, 0.0], "above-pi-zero": [ABOVE_PI, 0.0],
+    "3.2-among-1e-3": [3.2] + [1e-3] * 87, "1e-3": [1e-3] * 88,
+    "0.5": [0.5] * 88, "1e200": [1e200, 1e-3], "-1e200": [-1e200, 1e-3],
+    "nan": [math.nan, 1e-3], "inf": [math.inf, 1e-3],
+    "-inf": [-math.inf, 1e-3], "zeros": [0.0, -0.0],
+}
+
+
+@pytest.mark.parametrize("angles", WRAP_CASES.values(), ids=WRAP_CASES)
+def test_wrap_angles_matches_the_exact_test(angles):
+    # the same bytes, and nothing more raised: 0.5 sums past pi^2 with
+    # every angle below pi, where fmod leaves each as it is, 1e200 squares
+    # to inf, and NaN and inf fail both tests
+    assert outcome(_wrap_angles, angles) == outcome(exact_wrap, angles)
 
 
 class TestCurrentGeometry:
@@ -240,8 +287,9 @@ def test_state_rows_hold_chord_forces_and_template(rng, kind):
         template = s.element_tangent_rows
         before = template.copy()
         rows, q = update_member_data(s, p)
-        _, cs = current_geometry(s, p[None, :])
-        assert np.array_equal(rows[6:], cs.T)
+        cs = np.empty((4, 1))
+        current_geometry(s, p[None, :], cs)
+        assert np.array_equal(rows[6:], cs)
         assert rows[4, 0] == q[2] + q[5]
         assert np.array_equal(rows[[0, 1, 2, 5]], template[[0, 1, 2, 5]])
         assert np.array_equal(template, before)
@@ -263,7 +311,8 @@ def assembled_b_form(structure, u):
     L from current_geometry and [N, M1, M2] from each element alone."""
     rows, _ = update_member_data(structure, u)
     r, z, b = chord_vectors(rows)
-    length, _ = current_geometry(structure, u[structure.element_dofs])
+    length = current_geometry(structure, u[structure.element_dofs],
+                              np.empty_like(rows[6:]))
     ea_l0, ei_l0 = rows[:2]
     cl = np.zeros((len(length), 3, 3))
     cl[:, 0, 0] = ea_l0

@@ -233,11 +233,13 @@ MISTYPED = {float: (math.nan, math.inf, -math.inf, True), int: (True, 2.5),
 @pytest.mark.parametrize("valid", [props(), FinRayParams(), SolverConfig()],
                          ids=lambda valid: type(valid).__name__)
 def test_every_field_rejects_values_outside_its_type(valid):
-    # read from the fields, so that a field added later is covered too
+    # read from the fields, so that a field added later is covered too; the
+    # message names the field's document key (ElementProps' E, A and I)
     hints = typing.get_type_hints(type(valid))
     for field in dataclasses.fields(valid):
+        key = field.metadata.get("key", field.name)
         for value in MISTYPED[hints[field.name]]:
-            with pytest.raises(ValueError, match=field.name):
+            with pytest.raises(ValueError, match=f"^{key} must"):
                 dataclasses.replace(valid, **{field.name: value})
 
 
